@@ -20,8 +20,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/featstore"
@@ -300,6 +301,34 @@ func (m *Manager) Rebalance(p *sim.Proc, fab *hw.Fabric) {
 	}
 }
 
+// shardRow is one row of a GPU's id range as rebalanceGPU ranks it: its
+// hotness score and whether the GPU holds it now, both read once.
+type shardRow struct {
+	score float64
+	held  bool
+	id    graph.NodeID
+}
+
+// rankRows orders rows hottest first. Score ties rank currently-held rows
+// above unheld ones (hysteresis: a row is never displaced without evidence,
+// so unobserved rows keep their offline placement), then break by id for
+// determinism. The order is total, so the ranking does not depend on the
+// sort algorithm or the input order.
+func rankRows(rows []shardRow) {
+	slices.SortFunc(rows, func(a, b shardRow) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		if a.held != b.held {
+			if a.held {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+}
+
 // rebalanceGPU adapts GPU g's shard and returns the number of promoted rows.
 func (m *Manager) rebalanceGPU(p *sim.Proc, fab *hw.Fabric, g int) int64 {
 	lo, hi := m.offsets[g], m.offsets[g+1]
@@ -307,36 +336,24 @@ func (m *Manager) rebalanceGPU(p *sim.Proc, fab *hw.Fabric, g int) int64 {
 	if budget <= 0 || budget >= hi-lo {
 		return 0 // empty shard, or the whole range already fits
 	}
-	ids := make([]graph.NodeID, 0, hi-lo)
+	rows := make([]shardRow, 0, hi-lo)
 	for v := lo; v < hi; v++ {
-		ids = append(ids, graph.NodeID(v))
+		id := graph.NodeID(v)
+		rows = append(rows, shardRow{score: m.score(int(v)), held: m.store.Holder(id) == g, id: id})
 	}
-	// Hottest first. Score ties rank currently-held rows above unheld ones
-	// (hysteresis: a row is never displaced without evidence, so unobserved
-	// rows keep their offline placement), then break by id for determinism.
-	sort.SliceStable(ids, func(a, b int) bool {
-		sa, sb := m.score(int(ids[a])), m.score(int(ids[b]))
-		if sa != sb {
-			return sa > sb
-		}
-		ha, hb := m.store.Holder(ids[a]) == g, m.store.Holder(ids[b]) == g
-		if ha != hb {
-			return ha
-		}
-		return ids[a] < ids[b]
-	})
+	rankRows(rows)
 	// The target shard is the top `budget` rows. Promotions are target rows
 	// not yet held; each is paired with the coldest held row outside the
 	// target, so the shard size is invariant.
 	var promote, demote []graph.NodeID
-	for _, v := range ids[:budget] {
-		if m.store.Holder(v) != g {
-			promote = append(promote, v)
+	for _, r := range rows[:budget] {
+		if !r.held {
+			promote = append(promote, r.id)
 		}
 	}
-	for i := len(ids) - 1; i >= int(budget); i-- { // coldest first
-		if m.store.Holder(ids[i]) == g {
-			demote = append(demote, ids[i])
+	for i := len(rows) - 1; i >= int(budget); i-- { // coldest first
+		if rows[i].held {
+			demote = append(demote, rows[i].id)
 		}
 	}
 	moves := len(promote) // == len(demote) by construction

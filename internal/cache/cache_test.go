@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/fault"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/partition"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -256,5 +258,46 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+}
+
+// TestRankRowsMatchesStableComparator checks the ranking against the
+// comparator rebalanceGPU used to sort with (a stable sort over ids in
+// ascending order, re-reading score and holder on every comparison), on
+// random shards where most scores tie.
+func TestRankRowsMatchesStableComparator(t *testing.T) {
+	r := rng.New(9)
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(300)
+		lo := graph.NodeID(r.Intn(1000))
+		score := make(map[graph.NodeID]float64, n)
+		held := make(map[graph.NodeID]bool, n)
+		ids := make([]graph.NodeID, n)
+		rows := make([]shardRow, n)
+		for i := range ids {
+			id := lo + graph.NodeID(i)
+			score[id] = float64(r.Intn(4)) / 2 // four distinct values: many ties
+			held[id] = r.Intn(3) == 0
+			ids[i] = id
+			rows[i] = shardRow{score: score[id], held: held[id], id: id}
+		}
+		sort.SliceStable(ids, func(a, b int) bool {
+			sa, sb := score[ids[a]], score[ids[b]]
+			if sa != sb {
+				return sa > sb
+			}
+			ha, hb := held[ids[a]], held[ids[b]]
+			if ha != hb {
+				return ha
+			}
+			return ids[a] < ids[b]
+		})
+		r.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		rankRows(rows)
+		for i, row := range rows {
+			if row.id != ids[i] {
+				t.Fatalf("trial %d (n=%d): rank %d is node %d, old comparator gives %d", trial, n, i, row.id, ids[i])
+			}
+		}
 	}
 }

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // driftConfig is a serving run under popularity drift with a tight feature
@@ -170,5 +173,30 @@ func TestWorkloadDrift(t *testing.T) {
 	_ = drift.Draw(rng.New(1), 0.25) // advance to phase 2
 	if again := drift.Draw(r2, 0.15); again != first {
 		t.Fatalf("phase 1 not reproducible: %d vs %d", first, again)
+	}
+}
+
+// TestRunReleasesDaemons: a one-shot Run unwinds the daemons it leaves
+// parked (cache rebalancer, telemetry scraper), so repeated runs do not
+// accumulate goroutines or keep finished servers reachable.
+func TestRunReleasesDaemons(t *testing.T) {
+	cfg := driftConfig(t)
+	cfg.Duration = 0.02
+	cfg.DynamicCache = cache.LFUDecay
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		cfg.Telemetry = telemetry.New(telemetry.Config{})
+		if _, err := Serve(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Unwound processes have handed control back to the engine; give their
+	// goroutines a bounded moment to return.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		runtime.Gosched()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after five runs, %d before", n, base)
 	}
 }

@@ -731,14 +731,21 @@ func (s *Server) Finish(end sim.Time) (*Report, error) {
 }
 
 // Run executes the serving simulation to completion and reports results.
-// A Server is single-use: Run consumes the virtual machine.
+// A Server is single-use: Run consumes the virtual machine, and unless the
+// server is External (driven by a fleet that owns the engine) it shuts the
+// engine down after the report is built, so parked daemons (cache
+// rebalancer, telemetry scraper, fault injector) do not outlive the run.
 func (s *Server) Run() (*Report, error) {
 	s.Start()
 	end, err := s.m.Eng.Run()
 	if err != nil {
 		return nil, err
 	}
-	return s.Finish(end)
+	rep, err := s.Finish(end)
+	if !s.cfg.External {
+		s.m.Eng.Shutdown()
+	}
+	return rep, err
 }
 
 // Outstanding is the number of admitted requests not yet completed: queued in

@@ -163,6 +163,38 @@ func TestInterruptUnwindsAndReturnsError(t *testing.T) {
 	}
 }
 
+func TestShutdownUnwindsParkedDaemons(t *testing.T) {
+	e := NewEngine()
+	ticks, unwound := 0, 0
+	for i := 0; i < 2; i++ {
+		e.GoDaemon("scraper", func(p *Proc) {
+			defer func() { unwound++ }()
+			for {
+				p.Sleep(0.25)
+				ticks++
+			}
+		})
+	}
+	e.Go("work", func(p *Proc) { p.Sleep(1) })
+	end, err := e.Run()
+	if err != nil || end != 1 {
+		t.Fatalf("Run = %g, %v; want 1, nil", float64(end), err)
+	}
+	if unwound != 0 {
+		t.Fatal("a clean Run unwound its daemons")
+	}
+	e.Shutdown()
+	if unwound != 2 {
+		t.Fatalf("unwound = %d after Shutdown, want 2", unwound)
+	}
+	// Nothing is left to resume: time stays put and the daemons stay gone.
+	before := ticks
+	e.Go("after", func(p *Proc) { p.Sleep(1) })
+	if end, err = e.Run(); err != nil || end != 2 || ticks != before {
+		t.Fatalf("Run after Shutdown = %g, %v, %d new ticks; want 2, nil, 0", float64(end), err, ticks-before)
+	}
+}
+
 func TestKillParkedSleepingAndUnstarted(t *testing.T) {
 	e := NewEngine()
 	var sleeper, waiter, unstarted *Proc

@@ -267,6 +267,14 @@ func (e *Engine) Interrupt(err error) {
 	}
 }
 
+// Shutdown unwinds every live process, parked daemons included, and
+// discards all timers, exactly as Interrupt's teardown does. A clean Run
+// leaves daemons parked for a later Run; a caller that will not run the
+// engine again calls Shutdown so their goroutines exit and release what
+// they reference. Call it from outside the engine, after Run has returned.
+// Virtual time is preserved.
+func (e *Engine) Shutdown() { e.teardown() }
+
 // Kill aborts a single process: parked, queued or not-yet-started processes
 // unwind at the current instant; a process that is currently running (for
 // example the caller itself) unwinds at its next scheduling point. Killing a
