@@ -40,6 +40,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/gen"
 	"repro/internal/graphio"
+	"repro/internal/hw"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -82,8 +83,8 @@ func main() {
 		*gpus = td.NumGPUs()
 		fmt.Printf("loaded %s: %d nodes, %d patches\n", *dataIn, td.G.NumNodes(), *gpus)
 	} else {
-		if *gpus < 1 || *gpus > 8 {
-			fmt.Fprintf(os.Stderr, "dspserve: -gpus must be 1-8 (DGX-1), got %d\n", *gpus)
+		if err := hw.CheckGPUs(*gpus); err != nil {
+			fmt.Fprintf(os.Stderr, "dspserve: -gpus: %v\n", err)
 			os.Exit(2)
 		}
 		std := gen.StandardDataset(*dsName, *shrink)

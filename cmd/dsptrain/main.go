@@ -80,6 +80,10 @@ func main() {
 		*gpus = td.NumGPUs()
 		fmt.Printf("loaded %s: %d nodes, %d patches\n", *dataIn, td.G.NumNodes(), *gpus)
 	} else {
+		if err := hw.CheckGPUs(*gpus); err != nil {
+			fmt.Fprintf(os.Stderr, "dsptrain: -gpus: %v\n", err)
+			os.Exit(2)
+		}
 		std := gen.StandardDataset(*dsName, *shrink)
 		fmt.Printf("generating %s (%d nodes, scale factor %.0fx)...\n",
 			std.Config.Name, std.Config.Nodes, std.ScaleFactor)

@@ -149,22 +149,16 @@ func (c *Common) Policy() (cache.Policy, error) {
 // CacheBudget returns the -cache-budget value.
 func (c *Common) CacheBudget() int64 { return *c.cacheBudget }
 
-// StrategyKind resolves the -strategy flag and rejects flag combinations the
-// p3 layout cannot honour: row-cache policies and budgets act on the hot/cold
-// row split, which a dimension-sliced store does not have.
+// StrategyKind resolves the -strategy flag and rejects the cache flags the
+// chosen layout cannot honour (strategy.CheckCompatible).
 func (c *Common) StrategyKind() (strategy.Kind, error) {
 	kind, err := strategy.Parse(*c.strategy)
 	if err != nil {
 		return kind, err
 	}
-	if kind == strategy.KindP3 {
-		pol, perr := c.Policy()
-		if perr == nil && pol != cache.Static {
-			return kind, fmt.Errorf("cliopts: -strategy p3 is incompatible with -cache %s: the dimension-sliced layout has no rows to promote or rebalance (use -cache static)", pol)
-		}
-		if c.CacheBudget() > 0 {
-			return kind, fmt.Errorf("cliopts: -strategy p3 ignores -cache-budget: each GPU holds the full [#nodes, F/world] slice")
-		}
+	pol, _ := c.Policy() // a bad -cache value is reported by Policy itself
+	if err := strategy.CheckCompatible(kind, strategy.Knobs{DynamicCache: pol, CacheBudget: c.CacheBudget()}); err != nil {
+		return kind, fmt.Errorf("cliopts: %w", err)
 	}
 	return kind, nil
 }

@@ -62,7 +62,7 @@ type DSP struct {
 	inj        *fault.Injector
 
 	// strat owns the per-round gather/forward/backward orchestration
-	// (internal/strategy): the migrated DSP path or the P3 push-pull mode.
+	// (internal/strategy): the DSP hot/cold gather or the P3 push-pull mode.
 	strat strategy.ExecutionStrategy
 
 	// Multi-instance worker state (paper §5 ablation): extra sampler
@@ -82,22 +82,14 @@ func New(opts train.Options) (*DSP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if kind == strategy.KindP3 {
-		// The P3 layout has no hot/cold rows and no per-row holders, so the
-		// row-cache machinery and the degraded-mode re-routing built on it
-		// do not apply. Reject loudly rather than silently misconfiguring.
-		switch {
-		case opts.ReplicatedCache:
-			return nil, fmt.Errorf("core: -strategy p3 is incompatible with the replicated cache (features are dimension-sliced, not row-cached)")
-		case opts.DynamicCache != cache.Static:
-			return nil, fmt.Errorf("core: -strategy p3 is incompatible with dynamic cache policy %v (the dimension-sliced layout has no rows to rebalance)", opts.DynamicCache)
-		case opts.FeatureCacheBudget > 0:
-			return nil, fmt.Errorf("core: -strategy p3 ignores the feature cache budget: each GPU holds the full [#nodes, F/world] slice")
-		case len(opts.Faults) > 0:
-			return nil, fmt.Errorf("core: -strategy p3 does not support fault injection (no per-row holders to re-route around)")
-		case opts.NumSamplers > 1 || opts.NumLoaders > 1:
-			return nil, fmt.Errorf("core: -strategy p3 does not support multi-instance workers")
-		}
+	if err := strategy.CheckCompatible(kind, strategy.Knobs{
+		ReplicatedCache: opts.ReplicatedCache,
+		DynamicCache:    opts.DynamicCache,
+		CacheBudget:     opts.FeatureCacheBudget,
+		Faults:          len(opts.Faults) > 0,
+		MultiInstance:   opts.NumSamplers > 1 || opts.NumLoaders > 1,
+	}); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	d := opts.Data
 	n := d.NumGPUs()
@@ -224,11 +216,9 @@ func New(opts train.Options) (*DSP, error) {
 		trainerComm.SetGate(s.coord.Gate(nS + nL))
 	}
 	s.trainer = train.NewTrainer(opts, trainerComm)
-	if kind == strategy.KindP3 {
-		s.strat = strategy.NewP3(opts, s.m, s.store, s.trainer)
-	} else {
-		s.strat = strategy.NewDSP(opts, s.m, s.cacheMgr, s.hostStore, s.trainer)
-	}
+	s.strat = strategy.New(kind, strategy.Env{
+		Opts: opts, M: s.m, Store: s.store, Cache: s.cacheMgr, Host: s.hostStore, Trainer: s.trainer,
+	})
 	s.sched = train.NewSchedule(d, opts.BatchSize)
 	if len(opts.Faults) > 0 {
 		inj, err := fault.NewInjector(s.m, opts.Faults)
@@ -372,14 +362,6 @@ func (s *DSP) sampleStageWith(p *sim.Proc, rank, epoch, step int, w *csp.World) 
 	return mb
 }
 
-// loadStage runs the active strategy's gather/exchange for the sampled
-// batch: DSP's tiered feature fetch (local gather kernel, NVLink all-to-all
-// for remote hot rows, UVA for cold rows in parallel) or P3's push-pull
-// activation exchange. The orchestration bodies live in internal/strategy.
-func (s *DSP) loadStage(p *sim.Proc, rank int, mb *sample.MiniBatch) strategy.Loaded {
-	return s.strat.Load(p, rank, mb, s.loaderComm)
-}
-
 // RunEpoch implements train.System.
 func (s *DSP) RunEpoch(epoch int) (train.EpochStats, error) {
 	if s.Opts.Pipeline && (len(s.worlds) > 1 || len(s.loaderComms) > 1) {
@@ -409,7 +391,7 @@ func (s *DSP) RunEpochRange(epoch, from, to int) (train.EpochStats, error) {
 					return s.sampleStage(p, rank, epoch, step)
 				},
 				Load: func(p *sim.Proc, step int, v interface{}) interface{} {
-					return s.loadStage(p, rank, v.(*sample.MiniBatch))
+					return s.strat.Load(p, rank, v.(*sample.MiniBatch), s.loaderComm)
 				},
 				Train: func(p *sim.Proc, step int, v interface{}) {
 					s.strat.Train(p, rank, v.(strategy.Loaded), st)

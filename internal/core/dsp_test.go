@@ -482,3 +482,21 @@ func TestDSPTrainsGAT(t *testing.T) {
 		t.Fatalf("GAT through DSP stuck at %.3f", acc)
 	}
 }
+
+// TestNewRejectsTooManyGPUs: a layout with more patches than the modelled
+// DGX-1 has GPUs is an option error, not a panic in the topology builder.
+func TestNewRejectsTooManyGPUs(t *testing.T) {
+	d := gen.Generate(gen.Config{Name: "nine", Nodes: 900, AvgDegree: 6, FeatDim: 8, NumClasses: 3, Seed: 9})
+	td := train.Prepare(d, 9, 1, false)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("9 patches panicked: %v", r)
+		}
+	}()
+	if _, err := core.New(smallOpts(td)); err == nil {
+		t.Fatal("core.New accepted 9 GPUs")
+	}
+	if _, err := core.NewMulti(smallOpts(td), 2, hw.InfiniBandEDR()); err == nil {
+		t.Fatal("core.NewMulti accepted 9 GPUs per machine")
+	}
+}

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/arena"
+	"repro/internal/cache"
 	"repro/internal/comm"
 	"repro/internal/compress"
 	"repro/internal/csp"
@@ -25,27 +25,27 @@ import (
 // for cold features and model synchronization."
 //
 // Every machine runs the full single-machine design (partitioned topology
-// patches, partitioned hot-feature cache, CSP, pipeline, CCC). Cold feature
-// rows are sharded across the machines' CPU memories by node id; fetching a
-// row owned by another machine costs a NIC round trip plus the owner's CPU
-// gather. Gradients synchronise hierarchically: an intra-machine NVLink
-// allreduce, an inter-machine ring over the NICs between machine leaders,
-// and an intra-machine broadcast.
+// patches, partitioned hot-feature cache, CSP, pipeline, CCC) through its
+// own strategy.DSP and train.Trainer. Only two seams differ from one
+// machine, and MultiDSP is the only caller that sets them:
+//
+//   - the cold path (strategy.Env.ColdPath): cold feature rows are sharded
+//     across the machines' CPU memories by node id, so a machine reads the
+//     rows it owns over local UVA and fetches the others by a NIC round trip
+//     plus the owner's CPU gather;
+//   - the gradient ring (train.Trainer.CrossSync): after the intra-machine
+//     NVLink allreduce, machine leaders ring-reduce over the NICs and every
+//     replica averages the cluster-wide sum over gpusEach × machines.
 type MultiDSP struct {
 	Opts        train.Options
 	NumMachines int
 
 	cluster *hw.Cluster
 	worlds  []*csp.World
-	stores  []*featstore.Store
 	loaders []*comm.Communicator
-	coords  []*pipeline.Coordinator
-
-	// Per-machine intra trainer state; models indexed [machine][rank].
-	trainerComms []*comm.Communicator
-	models       [][]*nn.Model
-	optims       [][]nn.Optimizer
-	grads        [][][]float32
+	// One DSP strategy and one trainer per machine.
+	strats   []*strategy.DSP
+	trainers []*train.Trainer
 
 	// Inter-machine reduction rendezvous.
 	interBarrier *sim.Barrier
@@ -53,20 +53,6 @@ type MultiDSP struct {
 
 	gpusEach int
 	steps    int
-	zeros    []float32
-
-	// pool recycles gather staging buffers (RealCompute feature assembly);
-	// par offloads their fill between DES commit points.
-	pool arena.Pool
-	par  *sim.ParallelGroup
-}
-
-// group lazily binds the offload group to the cluster engine.
-func (s *MultiDSP) group() *sim.ParallelGroup {
-	if s.par == nil {
-		s.par = s.cluster.Eng.NewParallelGroup()
-	}
-	return s.par
 }
 
 // NewMulti builds a cluster-wide DSP instance with machines copies of the
@@ -116,34 +102,29 @@ func NewMulti(opts train.Options, machines int, net hw.NetworkSpec) (*MultiDSP, 
 				return nil, fmt.Errorf("core: machine %d cache: %w", m, err)
 			}
 		}
-		s.stores = append(s.stores, store)
 		coord := pipeline.NewCoordinator(s.cluster.Eng, n, opts.UseCCC, 2)
 		coord.Tracer = func() *trace.Tracer { return mach.GPUs[0].Tracer }
-		s.coords = append(s.coords, coord)
 		loader := comm.New(mach)
-		trainer := comm.New(mach)
+		trainerComm := comm.New(mach)
 		if opts.UseCCC {
 			world.Comm.SetGate(coord.Gate(samplerWorker))
 			loader.SetGate(coord.Gate(loaderWorker))
-			trainer.SetGate(coord.Gate(trainerWorker))
+			trainerComm.SetGate(coord.Gate(trainerWorker))
 		}
 		s.loaders = append(s.loaders, loader)
-		s.trainerComms = append(s.trainerComms, trainer)
 
-		probe := nn.NewModel(opts.Model, opts.Seed)
-		var mm []*nn.Model
-		var oo []nn.Optimizer
-		var gg [][]float32
-		for g := 0; g < n; g++ {
-			gg = append(gg, make([]float32, probe.ParamCount()))
-			if opts.RealCompute {
-				mm = append(mm, nn.NewModel(opts.Model, opts.Seed))
-				oo = append(oo, nn.NewAdam(opts.LR))
-			}
+		trainer := train.NewTrainer(opts, trainerComm)
+		if machines > 1 {
+			trainer.CrossSync = s.gradientRing(m)
+			trainer.Replicas = n * machines
 		}
-		s.models = append(s.models, mm)
-		s.optims = append(s.optims, oo)
-		s.grads = append(s.grads, gg)
+		s.trainers = append(s.trainers, trainer)
+		s.strats = append(s.strats, strategy.NewDSP(strategy.Env{
+			Opts: opts, M: mach, Store: store,
+			Cache:    cache.New(store, d.G, d.Offsets, cache.Config{}),
+			Trainer:  trainer,
+			ColdPath: s.coldPath(m),
+		}))
 	}
 	// Steps: each machine consumes a 1/machines stride of every shard.
 	for _, shard := range d.Shards {
@@ -164,10 +145,10 @@ func (s *MultiDSP) Cluster() *hw.Cluster { return s.cluster }
 
 // Model returns machine 0 / rank 0's replica (nil in cost-only mode).
 func (s *MultiDSP) Model() *nn.Model {
-	if len(s.models[0]) == 0 {
+	if len(s.trainers[0].Models) == 0 {
 		return nil
 	}
-	return s.models[0][0]
+	return s.trainers[0].Models[0]
 }
 
 // Steps returns batches per epoch per worker.
@@ -181,153 +162,75 @@ func (s *MultiDSP) batch(epoch, step, machine, rank int) []graph.NodeID {
 	return full.Batch(s.Opts.Data, s.Opts.Seed, epoch, step*s.NumMachines+machine, rank)
 }
 
-// zeroRows returns a zero payload standing in for feature rows.
-func (s *MultiDSP) zeroRows(rows int) []float32 {
-	need := rows * s.Opts.Data.FeatDim
-	if cap(s.zeros) < need {
-		s.zeros = make([]float32, need)
-	}
-	return s.zeros[:need]
-}
-
 // coldOwner returns the machine whose CPU memory holds a cold row.
 func (s *MultiDSP) coldOwner(v graph.NodeID) int { return int(v) % s.NumMachines }
 
-// loadStage fetches features on (machine, rank): hot rows exactly as the
-// single-machine loader; cold rows via local UVA when this machine owns
-// them, and a NIC round trip plus remote CPU gather otherwise.
-func (s *MultiDSP) loadStage(p *sim.Proc, machine, rank int, mb *sample.MiniBatch) strategy.Loaded {
+// coldPath is machine's cold-row seam: rows it owns come over local UVA,
+// the others by a NIC round trip plus the owner's CPU gather — both side
+// paths concurrent with the NVLink hot-row exchange, joined in that order.
+func (s *MultiDSP) coldPath(machine int) strategy.ColdPath {
 	d := s.Opts.Data
+	eng := s.cluster.Eng
 	mach := s.cluster.Machines[machine]
-	dev := mach.GPUs[rank]
-	store := s.stores[machine]
-	ids := mb.InputNodes()
-	local, remote, host := store.Split(ids, rank)
-	n := s.gpusEach
-
-	// Stage the real feature gather on a worker thread so it overlaps the
-	// virtual-time NIC/NVLink choreography below; the buffer is pooled and
-	// recycled by trainStage once the step has consumed it.
-	var feats []float32
-	var gather *sim.Ticket
-	if s.Opts.RealCompute {
-		feats = s.pool.Get(len(ids) * d.FeatDim)
-		gather = s.group().Submit(func() { train.GatherFeaturesInto(feats, d, mb) })
-	}
-
-	// Cold rows: split by owning machine.
-	var mine int64
-	foreign := make([]int64, s.NumMachines)
-	for _, v := range host {
-		if o := s.coldOwner(v); o == machine {
-			mine++
-		} else {
-			foreign[o]++
-		}
-	}
-	uvaDone := s.cluster.Eng.NewEvent()
-	if mine > 0 {
-		s.cluster.Eng.Go(fmt.Sprintf("m%dg%d/uva", machine, rank), func(cp *sim.Proc) {
-			dev.UVARead(cp, mach.Fabric, mine, d.RowBytes(), hw.TrafficFeature)
-			uvaDone.Trigger()
-		})
-	} else {
-		uvaDone.Trigger()
-	}
-	// Remote-machine cold rows, concurrently with the NVLink path.
-	netDone := s.cluster.Eng.NewEvent()
-	var needNet bool
-	for o, cnt := range foreign {
-		if cnt > 0 && o != machine {
-			needNet = true
-		}
-	}
-	if needNet {
-		s.cluster.Eng.Go(fmt.Sprintf("m%dg%d/net", machine, rank), func(cp *sim.Proc) {
-			for o, cnt := range foreign {
-				if cnt == 0 || o == machine {
-					continue
-				}
-				// Request ids out, owner CPU gathers, rows come back (under
-				// the feature codec when one is set — the NIC is the
-				// narrowest link, so compression pays off most here), then
-				// a staged DMA of the decoded rows into the GPU.
-				s.cluster.Net.Send(cp, machine, o, cnt*4, hw.TrafficFeature)
-				s.cluster.Machines[o].Host.Gather(cp, cnt*int64(d.RowBytes()), 8)
-				s.cluster.Net.Send(cp, o, machine,
-					compress.WireBytes(s.Opts.FeatCodec, int(cnt)*d.FeatDim), hw.TrafficFeature)
-				mach.Fabric.HostDMA(cp, rank, cnt*int64(d.RowBytes()), hw.TrafficFeature)
+	return func(rank int, host []graph.NodeID) func(*sim.Proc) {
+		var mine int64
+		foreign := make([]int64, s.NumMachines)
+		for _, v := range host {
+			if o := s.coldOwner(v); o == machine {
+				mine++
+			} else {
+				foreign[o]++
 			}
+		}
+		uvaDone := eng.NewEvent()
+		if mine > 0 {
+			eng.Go(fmt.Sprintf("m%dg%d/uva", machine, rank), func(cp *sim.Proc) {
+				mach.GPUs[rank].UVARead(cp, mach.Fabric, mine, d.RowBytes(), hw.TrafficFeature)
+				uvaDone.Trigger()
+			})
+		} else {
+			uvaDone.Trigger()
+		}
+		netDone := eng.NewEvent()
+		if mine < int64(len(host)) {
+			eng.Go(fmt.Sprintf("m%dg%d/net", machine, rank), func(cp *sim.Proc) {
+				for o, cnt := range foreign {
+					if cnt == 0 {
+						continue
+					}
+					// Request ids out, owner CPU gathers, rows come back
+					// (under the feature codec when one is set — the NIC is
+					// the narrowest link, so compression pays off most
+					// here), then a staged DMA of the decoded rows into the
+					// GPU.
+					s.cluster.Net.Send(cp, machine, o, cnt*4, hw.TrafficFeature)
+					s.cluster.Machines[o].Host.Gather(cp, cnt*int64(d.RowBytes()), 8)
+					s.cluster.Net.Send(cp, o, machine,
+						compress.WireBytes(s.Opts.FeatCodec, int(cnt)*d.FeatDim), hw.TrafficFeature)
+					mach.Fabric.HostDMA(cp, rank, cnt*int64(d.RowBytes()), hw.TrafficFeature)
+				}
+				netDone.Trigger()
+			})
+		} else {
 			netDone.Trigger()
-		})
-	} else {
-		netDone.Trigger()
-	}
-
-	if len(local) > 0 {
-		dev.RunKernel(p, hw.KernelGather, int64(len(local))*int64(d.RowBytes()))
-	}
-	if n > 1 {
-		reqIn := comm.AllToAll(s.loaders[machine], p, rank, remote, comm.Raw(4, hw.TrafficFeature))
-		var served int64
-		for q := 0; q < n; q++ {
-			served += int64(len(reqIn[q]))
 		}
-		if served > 0 {
-			dev.RunKernel(p, hw.KernelGather, served*int64(d.RowBytes()))
+		return func(p *sim.Proc) {
+			uvaDone.Wait(p)
+			netDone.Wait(p)
 		}
-		replies := make([][]float32, n)
-		for q := 0; q < n; q++ {
-			replies[q] = s.zeroRows(len(reqIn[q]))
-		}
-		comm.AllToAll(s.loaders[machine], p, rank, replies, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
 	}
-	uvaDone.Wait(p)
-	netDone.Wait(p)
-	dev.RunKernel(p, hw.KernelGather, int64(len(ids))*int64(d.RowBytes()))
-	gather.Join()
-	return strategy.Loaded{MB: mb, Feats: feats}
 }
 
-// trainStage runs the hierarchical gradient synchronisation.
-func (s *MultiDSP) trainStage(p *sim.Proc, machine, rank int, l strategy.Loaded, st *train.EpochStats) {
-	mach := s.cluster.Machines[machine]
-	dev := mach.GPUs[rank]
-	mb := l.MB
-	grad := s.grads[machine][rank]
-	if s.Opts.RealCompute {
-		m := s.models[machine][rank]
-		m.ZeroGrads()
-		if len(mb.Seeds) > 0 {
-			loss, correct, flops := m.TrainStep(mb, l.Feats, train.SeedLabels(s.Opts.Data, mb))
-			dev.RunKernel(p, hw.KernelCompute, flops)
-			st.Loss += loss
-			st.Correct += correct
-			st.Seen += len(mb.Seeds)
-		}
-		m.GradVector(grad)
-		if l.Feats != nil {
-			s.pool.Put(l.Feats) // the step has consumed the staged gather
-		}
-	} else {
-		if len(mb.Seeds) > 0 {
-			dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(s.Opts.Model, mb))
-			dev.RunKernel(p, hw.KernelCompute, nn.NominalFlops(s.Opts.Model, mb))
-		}
-	}
-	// Intra-machine allreduce over NVLink (codec-aware: the machine sum
-	// already carries the gradient codec's quantisation error).
-	gradOpts := comm.Compressed(s.Opts.GradCodec, hw.TrafficGradient)
-	// Cost-only never writes grad (all-zero every round): encode is reusable.
-	gradOpts.Static = !s.Opts.RealCompute
-	s.trainerComms[machine].AllReduceSum(p, rank, grad, gradOpts)
-	// Inter-machine ring between machine leaders (rank 0), then the global
-	// sum is re-established on every replica. The rendezvous is a full
-	// cluster barrier: trainer steps are aligned across machines. Each
-	// leader posts its machine sum as the remote machines would decode it
-	// (codec round-trip), so the cross-machine reduction is lossy exactly
-	// once per hop and every replica still sums identical images.
-	if s.NumMachines > 1 {
+// gradientRing is machine's cross-machine gradient seam, run after the
+// intra-machine allreduce (which already carries the gradient codec's
+// quantisation error): an inter-machine ring between machine leaders
+// (rank 0), then the global sum is re-established on every replica. The
+// rendezvous is a full cluster barrier: trainer steps are aligned across
+// machines. Each leader posts its machine sum as the remote machines would
+// decode it (codec round-trip), so the cross-machine reduction is lossy
+// exactly once per hop and every replica still sums identical images.
+func (s *MultiDSP) gradientRing(machine int) func(p *sim.Proc, rank int, grad []float32) {
+	return func(p *sim.Proc, rank int, grad []float32) {
 		if rank == 0 {
 			posted := compress.Roundtrip(s.Opts.GradCodec, grad)
 			s.interSlots[machine] = append(s.interSlots[machine][:0], posted...)
@@ -350,15 +253,6 @@ func (s *MultiDSP) trainStage(p *sim.Proc, machine, rank int, l strategy.Loaded,
 			grad[i] = sum
 		}
 		s.interBarrier.Arrive(p)
-	}
-	if s.Opts.RealCompute {
-		inv := float32(1.0) / float32(s.gpusEach*s.NumMachines)
-		for i := range grad {
-			grad[i] *= inv
-		}
-		m := s.models[machine][rank]
-		m.SetGradVector(grad)
-		s.optims[machine][rank].Step(m)
 	}
 }
 
@@ -401,11 +295,11 @@ func (s *MultiDSP) RunEpoch(epoch int) (train.EpochStats, error) {
 				},
 				Load: func(p *sim.Proc, step int, v interface{}) interface{} {
 					p.Sleep(overhead)
-					return s.loadStage(p, m, g, v.(*sample.MiniBatch))
+					return s.strats[m].Load(p, g, v.(*sample.MiniBatch), s.loaders[m])
 				},
 				Train: func(p *sim.Proc, step int, v interface{}) {
 					p.Sleep(overhead)
-					s.trainStage(p, m, g, v.(strategy.Loaded), st)
+					s.strats[m].Train(p, g, v.(strategy.Loaded), st)
 				},
 			}
 			done := eng.NewEvent()

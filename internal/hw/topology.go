@@ -50,13 +50,24 @@ type Topology struct {
 // NVLink bandwidth per lane per direction for NVLink 2.0 (V100): 25 GB/s.
 const nvlinkLaneBandwidth = 25e9
 
+// MaxGPUs is the largest machine the simulator models: a full DGX-1.
+const MaxGPUs = 8
+
+// CheckGPUs rejects GPU counts outside the modelled 1..MaxGPUs range.
+func CheckGPUs(n int) error {
+	if n < 1 || n > MaxGPUs {
+		return fmt.Errorf("hw: DGX-1 supports 1-%d GPUs, got %d", MaxGPUs, n)
+	}
+	return nil
+}
+
 // DGX1 builds the hybrid-cube-mesh topology of an 8-GPU DGX-1/p3.16xlarge
-// restricted to the first n GPUs (1 <= n <= 8). Aggregate bandwidths match
-// Table 1 of the paper: PCIe 32/32/64/128 GB/s and NVLink 0/100/400/1200
-// GB/s for 1/2/4/8 GPUs.
+// restricted to the first n GPUs (1 <= n <= MaxGPUs). Aggregate bandwidths
+// match Table 1 of the paper: PCIe 32/32/64/128 GB/s and NVLink
+// 0/100/400/1200 GB/s for 1/2/4/8 GPUs.
 func DGX1(n int) *Topology {
-	if n < 1 || n > 8 {
-		panic(fmt.Sprintf("hw: DGX1 supports 1-8 GPUs, got %d", n))
+	if err := CheckGPUs(n); err != nil {
+		panic(err.Error())
 	}
 	// Lane counts of the DGX-1V hybrid cube mesh. Each GPU has 6 lanes:
 	// quad {0,1,2,3}: 0-1 x2, 2-3 x2, 0-2, 0-3, 1-2, 1-3 (8 lanes)

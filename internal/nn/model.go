@@ -355,6 +355,43 @@ func (m *Model) Evaluate(mb *sample.MiniBatch, feats []float32, labels []int32) 
 	return SoftmaxCrossEntropy(logits, labels, dl)
 }
 
+// Predict runs the forward pass and returns each seed's argmax class.
+func (m *Model) Predict(mb *sample.MiniBatch, feats []float32) []int32 {
+	logits, _ := m.Forward(mb, feats)
+	preds := make([]int32, logits.R)
+	for i := range preds {
+		row := logits.Row(i)
+		best := 0
+		for j := 1; j < len(row); j++ {
+			if row[j] > row[best] {
+				best = j
+			}
+		}
+		preds[i] = int32(best)
+	}
+	return preds
+}
+
+// LayerFlops is layer l's nominal forward work on block b under cfg: the
+// dense (projection) term and the aggregation term. The nominal counts below
+// weight these per pass.
+func LayerFlops(cfg Config, l int, b *sample.Block) (dense, agg int64) {
+	in, out := cfg.dims(l)
+	switch cfg.Arch {
+	case GAT:
+		// Projection over ALL input nodes plus per-edge attention.
+		dense = 2 * int64(len(b.InputNodes)) * int64(in) * int64(out)
+		agg = 12 * int64(len(b.Src)) * int64(out)
+	case SAGE:
+		dense = 4 * int64(len(b.Dst)) * int64(in) * int64(out) // self + neigh
+		agg = 2 * int64(len(b.Src)) * int64(in)
+	default:
+		dense = 2 * int64(len(b.Dst)) * int64(in) * int64(out)
+		agg = 2 * int64(len(b.Src)) * int64(in)
+	}
+	return dense, agg
+}
+
 // NominalFlops estimates the forward+backward FLOPs a batch would execute
 // under cfg without running the math — used by the cost-only trainer mode
 // in the large timing sweeps, where the paper-scale hidden size (256) would
@@ -362,20 +399,7 @@ func (m *Model) Evaluate(mb *sample.MiniBatch, feats []float32, labels []int32) 
 func NominalFlops(cfg Config, mb *sample.MiniBatch) int64 {
 	var total int64
 	for l, b := range mb.Blocks {
-		in, out := cfg.dims(l)
-		var dense, agg int64
-		switch cfg.Arch {
-		case GAT:
-			// Projection over ALL input nodes plus per-edge attention.
-			dense = 2 * int64(len(b.InputNodes)) * int64(in) * int64(out)
-			agg = 12 * int64(len(b.Src)) * int64(out)
-		case SAGE:
-			dense = 4 * int64(len(b.Dst)) * int64(in) * int64(out) // self + neigh
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		default:
-			dense = 2 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		}
+		dense, agg := LayerFlops(cfg, l, b)
 		// Forward + two backward matmuls per forward matmul.
 		total += 3*dense + 2*agg
 	}
@@ -388,19 +412,7 @@ func NominalFlops(cfg Config, mb *sample.MiniBatch) int64 {
 func NominalForwardFlops(cfg Config, mb *sample.MiniBatch) int64 {
 	var total int64
 	for l, b := range mb.Blocks {
-		in, out := cfg.dims(l)
-		var dense, agg int64
-		switch cfg.Arch {
-		case GAT:
-			dense = 2 * int64(len(b.InputNodes)) * int64(in) * int64(out)
-			agg = 12 * int64(len(b.Src)) * int64(out)
-		case SAGE:
-			dense = 4 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		default:
-			dense = 2 * int64(len(b.Dst)) * int64(in) * int64(out)
-			agg = 2 * int64(len(b.Src)) * int64(in)
-		}
+		dense, agg := LayerFlops(cfg, l, b)
 		total += dense + agg
 	}
 	return total

@@ -154,14 +154,11 @@ func (s *Server) report(end sim.Time) *Report {
 	if s.hostStore != nil {
 		r.StoreStats = s.hostStore.Stats()
 	}
-	r.Strategy = "dsp"
-	if s.p3 {
-		r.Strategy = "p3"
-		r.FeatureDim = s.cfg.Data.FeatDim
-		r.PushWire = s.pushWire
-		for g := 0; g < s.store.NumGPUs; g++ {
-			r.SliceDims = append(r.SliceDims, s.store.SliceDim(g))
-		}
+	r.Strategy = string(s.strat.Kind())
+	if sec := s.strat.Section(); sec != nil {
+		r.FeatureDim = sec.FeatureDim
+		r.PushWire = sec.PushBytes
+		r.SliceDims = sec.SliceDims
 	}
 	for _, h := range s.latency {
 		r.Latency.Merge(h)

@@ -13,7 +13,10 @@
 // requests this round still serve remote sampling tasks), the feature
 // loader fetches rows from the partitioned cache (NVLink all-to-all for
 // remote hot rows, UVA for cold rows), and a forward-only pass produces the
-// predictions. Sampling and execution pipeline over consecutive rounds
+// predictions. The gather and the forward pass are the training path's own:
+// the executor calls the run's strategy.ExecutionStrategy (Load, then the
+// forward-only Infer), so serving has no private copy of either layout.
+// Sampling and execution pipeline over consecutive rounds
 // through bounded queues, with all collective launches ordered by CCC so
 // concurrent rounds cannot deadlock — exactly the paper's training-side
 // machinery, repurposed for latency-bounded inference.
@@ -261,6 +264,9 @@ func (c Config) validate() error {
 	if c.Data == nil {
 		return fmt.Errorf("serve: Config.Data is required")
 	}
+	if err := hw.CheckGPUs(c.Data.NumGPUs()); err != nil {
+		return fmt.Errorf("serve: %d data patches: %w", c.Data.NumGPUs(), err)
+	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("serve: Config.Duration must be positive")
 	}
@@ -273,21 +279,15 @@ func (c Config) validate() error {
 			len(c.Sample.Fanout), c.Model.Layers)
 	}
 	kind, err := strategy.Parse(c.Strategy)
+	if err == nil {
+		err = strategy.CheckCompatible(kind, strategy.Knobs{
+			DynamicCache: c.DynamicCache,
+			CacheBudget:  c.FeatureCacheBudget,
+			Faults:       len(c.Faults) > 0,
+		})
+	}
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
-	}
-	if kind == strategy.KindP3 {
-		// The P3 layout has no per-row holders: degraded-mode re-routing and
-		// row-cache rebalancing are meaningless over a dimension slice.
-		if len(c.Faults) > 0 {
-			return fmt.Errorf("serve: -strategy p3 does not support fault injection (no per-row holders to re-route around)")
-		}
-		if c.DynamicCache != cache.Static {
-			return fmt.Errorf("serve: -strategy p3 is incompatible with dynamic cache policy %v (the dimension-sliced layout has no rows to rebalance)", c.DynamicCache)
-		}
-		if c.FeatureCacheBudget > 0 {
-			return fmt.Errorf("serve: -strategy p3 ignores the feature cache budget: each GPU holds the full [#nodes, F/world] slice")
-		}
 	}
 	return nil
 }
@@ -346,7 +346,10 @@ type execItem struct {
 }
 
 // Server is a configured single-run serving instance. Build with NewServer,
-// execute with Run (or use the Serve convenience wrapper).
+// execute with Run (or use the Serve convenience wrapper). Its executors run
+// each round through the same strategy.ExecutionStrategy training uses
+// (strategy.New picks the layout from Config.Strategy); the server owns only
+// admission, batching, fault fail-over and per-request accounting.
 type Server struct {
 	cfg       Config
 	m         *hw.Machine
@@ -357,8 +360,14 @@ type Server struct {
 	coord     *pipeline.Coordinator
 	execComm  *comm.Communicator
 	workload  *Workload
-	models    []*nn.Model
 	overhead  sim.Time
+
+	// strat runs each round's gather and forward pass (internal/strategy),
+	// the same execution path training uses. attempt holds each GPU's
+	// cache-tier counts for the round attempt in flight: they commit only
+	// once the round survives its collective retries.
+	strat   strategy.ExecutionStrategy
+	attempt []cache.Tiers
 
 	// fault tolerance
 	inj  *fault.Injector
@@ -397,12 +406,6 @@ type Server struct {
 	crashes       []Recovery
 	completed     []*Request
 	latency       []*metrics.Histogram
-	zeros         []float32
-
-	// p3 strategy state: dimension-sliced features replace the row cache,
-	// and the first layer runs as a partial-activation push exchange.
-	p3       bool
-	pushWire int64
 }
 
 // NewServer builds the serving fleet: machine, partitioned topology,
@@ -463,8 +466,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 
 	kind, _ := strategy.Parse(cfg.Strategy) // validated above
-	s.p3 = kind == strategy.KindP3
-	if s.p3 {
+	if kind == strategy.KindP3 {
 		// Dimension-sliced layout: every GPU holds all rows of an F/world
 		// column slice, so there is no hot/cold split and no row cache.
 		s.store = featstore.BuildDimSliced(d.Feats, d.FeatDim, n)
@@ -495,13 +497,16 @@ func NewServer(cfg Config) (*Server, error) {
 		s.world.Comm.SetGate(s.coord.Gate(samplerWorker))
 		s.execComm.SetGate(s.coord.Gate(execWorker))
 	}
-	if cfg.RealCompute {
-		for g := 0; g < n; g++ {
-			// Identical replicas (same init seed) — any GPU serves any
-			// request, as after BSP training.
-			s.models = append(s.models, nn.NewModel(cfg.Model, cfg.Seed))
-		}
-	}
+	// The trainer holds identical replicas (same init seed) under
+	// RealCompute — any GPU serves any request, as after BSP training.
+	opts := train.Options{Data: d, Model: cfg.Model, RealCompute: cfg.RealCompute,
+		Seed: cfg.Seed, FeatCodec: cfg.FeatCodec}
+	s.attempt = make([]cache.Tiers, n)
+	s.strat = strategy.New(kind, strategy.Env{
+		Opts: opts, M: s.m, Store: s.store, Cache: s.cacheMgr, Host: s.hostStore,
+		Trainer: train.NewTrainer(opts, s.execComm),
+		Account: func(g int, t cache.Tiers) { s.attempt[g].Add(t) },
+	})
 	s.workload = NewWorkload(d, cfg.Skew)
 	if cfg.DriftEvery > 0 {
 		s.workload.EnableDrift(cfg.DriftEvery, rng.Mix(cfg.Seed, 0xD21F7))
@@ -560,7 +565,7 @@ func (s *Server) registerTelemetry(n int) {
 			return float64(dev.BusyAt(now))
 		})
 	}
-	if !s.p3 {
+	if s.strat.Kind() != strategy.KindP3 {
 		h.Gauge(s.pname("cache/hit_rate"), func(sim.Time) float64 {
 			return s.cacheMgr.Stats().Tiers.HitRate()
 		})
@@ -1118,9 +1123,9 @@ func (s *Server) sampler(p *sim.Proc, g int) {
 	}
 }
 
-// executor is GPU g's execution worker: feature load (local gather + NVLink
-// all-to-all + UVA, in parallel) then the forward-only pass, completing
-// every request of the round.
+// executor is GPU g's execution worker: the strategy's gather (under dsp:
+// local gather + NVLink all-to-all + UVA, in parallel) then its forward-only
+// pass, completing every request of the round.
 func (s *Server) executor(p *sim.Proc, g int) {
 	for {
 		v, ok := s.execQ[g].Get(p)
@@ -1135,23 +1140,17 @@ func (s *Server) executor(p *sim.Proc, g int) {
 		// counters have no such rollback — an aborted round's wire traffic
 		// really crossed the links. The manager's hotness counters likewise
 		// record every attempt inside Split: the accesses are real.
-		var rc cache.Tiers
 		var loaded sim.Time
 		runRound(p, func() {
 			s.execComm.Begin(g)
-			rc = cache.Tiers{}
+			s.attempt[g] = cache.Tiers{}
 		}, func() {
 			p.Sleep(s.overhead)
-			var feats []float32
-			if s.p3 {
-				feats = s.loadFeaturesP3(p, g, it.mb)
-			} else {
-				feats = s.loadFeatures(p, g, it.mb, &rc)
-			}
+			l := s.strat.Load(p, g, it.mb, s.execComm)
 			loaded = p.Now()
-			preds = s.forward(p, g, it.mb, feats)
+			preds = s.strat.Infer(p, g, l)
 		})
-		s.cacheMgr.Account(g, rc)
+		s.cacheMgr.Account(g, s.attempt[g])
 		now := p.Now()
 		batch := len(it.rd.reqs[g])
 		for i, req := range it.rd.reqs[g] {
@@ -1183,138 +1182,4 @@ func (s *Server) executor(p *sim.Proc, g int) {
 			g, 21, float64(it.rd.start), float64(now),
 			map[string]string{"batch": fmt.Sprint(batch)})
 	}
-}
-
-// loadFeatures mirrors the trainer's loader stage: split by placement, cold
-// rows via UVA concurrently with the NVLink hot-row exchange, then assemble.
-// The cache manager's Split both records row hotness and re-routes rows
-// cached on a dead GPU to host memory (UVA) — the shard is unreachable but
-// the master copy in host RAM is not.
-func (s *Server) loadFeatures(p *sim.Proc, g int, mb *sample.MiniBatch, rc *cache.Tiers) []float32 {
-	d := s.cfg.Data
-	dev := s.m.GPUs[g]
-	ids := mb.InputNodes()
-	local, remote, host := s.cacheMgr.Split(ids, g)
-	rc.Add(cache.CountTiers(local, remote, host))
-	n := s.execComm.N
-
-	// Feature tier of the frontier walk: prefetch the host rows' blocks
-	// (non-blocking, MaxInflight-way parallel) so spill reads overlap the
-	// NVLink exchange instead of serialising in the UVA side path.
-	if s.hostStore != nil && len(host) > 0 {
-		s.hostStore.PrefetchFeatures(host)
-	}
-
-	uvaDone := s.m.Eng.NewEvent()
-	if len(host) > 0 {
-		s.m.Eng.Go(fmt.Sprintf("gpu%d/serve-uva", g), func(cp *sim.Proc) {
-			// Host rows must be block-cache-resident before UVA reads them;
-			// the out-of-core tier stalls this side path on spill fetches.
-			if s.hostStore != nil {
-				s.hostStore.TouchFeatures(cp, host)
-			}
-			dev.UVARead(cp, s.m.Fabric, int64(len(host)), d.RowBytes(), hw.TrafficFeature)
-			uvaDone.Trigger()
-		})
-	} else {
-		uvaDone.Trigger()
-	}
-	if len(local) > 0 {
-		dev.RunKernel(p, hw.KernelGather, int64(len(local))*int64(d.RowBytes()))
-	}
-	if n > 1 {
-		reqIn := comm.AllToAll(s.execComm, p, g, remote, comm.Raw(4, hw.TrafficFeature))
-		var served int64
-		for q := 0; q < n; q++ {
-			served += int64(len(reqIn[q]))
-		}
-		if served > 0 {
-			dev.RunKernel(p, hw.KernelGather, served*int64(d.RowBytes()))
-		}
-		replies := make([][]float32, n)
-		for q := 0; q < n; q++ {
-			replies[q] = s.zeroRows(len(reqIn[q]))
-		}
-		comm.AllToAll(s.execComm, p, g, replies, comm.Compressed(s.cfg.FeatCodec, hw.TrafficFeature))
-	}
-	uvaDone.Wait(p)
-	dev.RunKernel(p, hw.KernelGather, int64(len(ids))*int64(d.RowBytes()))
-	if s.cfg.RealCompute {
-		return train.GatherFeatures(d, mb)
-	}
-	return nil
-}
-
-// loadFeaturesP3 is the executor's feature stage under the p3 strategy: the
-// first layer's partial-activation push exchange (strategy.P3Forward) stands
-// where the hot/cold row gather would be. Under RealCompute the full-width
-// features are still materialised so the forward math is canonical.
-func (s *Server) loadFeaturesP3(p *sim.Proc, g int, mb *sample.MiniBatch) []float32 {
-	h0 := s.cfg.Model.Hidden
-	if s.cfg.Model.Layers == 1 {
-		h0 = s.cfg.Model.Classes
-	}
-	fst := strategy.P3Forward(p, s.m, s.execComm, g, s.store, s.cfg.Model.Arch,
-		h0, s.cfg.FeatCodec, mb.InputNodes(), s.zeroAct)
-	s.pushWire += fst.PushWire
-	if s.execComm.N > 1 {
-		dev := s.m.GPUs[g]
-		dev.Tracer.Counter("p3 push", dev.ID, float64(p.Now()), map[string]float64{
-			"bytes": float64(s.pushWire),
-		})
-	}
-	if s.cfg.RealCompute {
-		return train.GatherFeatures(s.cfg.Data, mb)
-	}
-	return nil
-}
-
-// forward runs the inference pass and returns per-seed argmax predictions
-// (nil in cost-only mode).
-func (s *Server) forward(p *sim.Proc, g int, mb *sample.MiniBatch, feats []float32) []int32 {
-	if len(mb.Seeds) == 0 {
-		return nil
-	}
-	dev := s.m.GPUs[g]
-	dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(s.cfg.Model, mb))
-	flops := nn.NominalForwardFlops(s.cfg.Model, mb)
-	if s.p3 {
-		// The first layer's dense work already ran as partial projections in
-		// the push exchange; charge only the residual here.
-		flops = strategy.P3ResidualForwardFlops(s.cfg.Model, mb)
-	}
-	dev.RunKernel(p, hw.KernelCompute, flops)
-	if !s.cfg.RealCompute {
-		return nil
-	}
-	logits, _ := s.models[g].Forward(mb, feats)
-	preds := make([]int32, logits.R)
-	for i := 0; i < logits.R; i++ {
-		row := logits.Row(i)
-		best := 0
-		for j := 1; j < len(row); j++ {
-			if row[j] > row[best] {
-				best = j
-			}
-		}
-		preds[i] = int32(best)
-	}
-	return preds
-}
-
-func (s *Server) zeroRows(rows int) []float32 {
-	need := rows * s.cfg.Data.FeatDim
-	if cap(s.zeros) < need {
-		s.zeros = make([]float32, need)
-	}
-	return s.zeros[:need]
-}
-
-// zeroAct returns a zero-backed payload standing in for n activation values
-// (shared backing with zeroRows; the payloads only carry timing).
-func (s *Server) zeroAct(n int) []float32 {
-	if cap(s.zeros) < n {
-		s.zeros = make([]float32, n)
-	}
-	return s.zeros[:n]
 }

@@ -3,111 +3,56 @@ package strategy
 import (
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/cache"
 	"repro/internal/comm"
+	"repro/internal/graph"
 	"repro/internal/hw"
+	"repro/internal/nn"
 	"repro/internal/prof"
 	"repro/internal/sample"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/train"
 )
 
-// DSP is the paper's execution strategy, migrated verbatim from
-// internal/core: local cache hits via a gather kernel, remote hot rows via
-// all-to-all over NVLink, cold rows via UVA (in parallel on different
-// links), then the standard data-parallel train step.
+// DSP is the paper's execution strategy: local cache hits via a gather
+// kernel, remote hot rows via all-to-all over NVLink, cold rows via a side
+// path in parallel on different links (UVA on one machine; Env.ColdPath in
+// a cluster), then the standard data-parallel train step or, for serving,
+// the forward-only pass.
 type DSP struct {
-	Opts    train.Options
-	M       *hw.Machine
-	Cache   *cache.Manager
-	Host    *store.Store // out-of-core host tier (nil unless Opts.OOC)
-	Trainer *train.Trainer
-
-	// zeros backs loader reply payloads (transfer timing without copying
-	// real rows twice).
-	zeros []float32
-	// pool recycles gather staging buffers (RealCompute feature assembly);
-	// par offloads their fill between DES commit points.
-	pool arena.Pool
-	par  *sim.ParallelGroup
-}
-
-// group lazily binds the strategy to the engine's parallel budget.
-func (s *DSP) group() *sim.ParallelGroup {
-	if s.par == nil {
-		s.par = s.M.Eng.NewParallelGroup()
-	}
-	return s.par
+	base
 }
 
 // NewDSP assembles the DSP strategy over an already-built substrate.
-func NewDSP(opts train.Options, m *hw.Machine, cacheMgr *cache.Manager, host *store.Store, trainer *train.Trainer) *DSP {
-	return &DSP{Opts: opts, M: m, Cache: cacheMgr, Host: host, Trainer: trainer}
-}
+func NewDSP(env Env) *DSP { return &DSP{base{Env: env}} }
 
 // Kind implements ExecutionStrategy.
 func (s *DSP) Kind() Kind { return KindDSP }
 
-// zeroRows returns a zero-backed payload standing in for rows feature rows
-// (cost-only mode sends these so transfer timing stays exact without
-// copying real rows twice).
-func (s *DSP) zeroRows(rows int) []float32 {
-	need := rows * s.Opts.Data.FeatDim
-	if cap(s.zeros) < need {
-		s.zeros = make([]float32, need)
-	}
-	return s.zeros[:need]
-}
-
 // Load implements ExecutionStrategy: fetch features for the sampled batch —
 // local cache hits via a gather kernel, remote hot rows via all-to-all over
-// NVLink, cold rows via UVA — hot and cold fetches run in parallel on
-// different links, as in the paper.
+// NVLink, cold rows via the cold path — hot and cold fetches run in
+// parallel on different links, as in the paper.
 func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communicator) Loaded {
 	d := s.Opts.Data
 	dev := s.M.GPUs[rank]
 	ids := mb.InputNodes()
-	// Stage the real feature gather on a worker thread so it overlaps the
-	// virtual-time NVLink/UVA choreography below; the buffer is pooled and
-	// recycled by Train once the step has consumed it.
-	var feats []float32
-	var gather *sim.Ticket
-	if s.Opts.RealCompute {
-		feats = s.pool.Get(len(ids) * d.FeatDim)
-		gather = s.group().Submit(func() { train.GatherFeaturesInto(feats, d, mb) })
-	}
-	// The manager's Split records row hotness for the epoch-boundary
-	// rebalancer and re-routes dead-holder rows to the host tier.
+	feats, gather := s.stageGather(mb)
+	// The manager's Split records row hotness for the rebalancer and
+	// re-routes dead-holder rows to the host tier.
 	local, remote, host := s.Cache.Split(ids, rank)
-	s.Cache.Account(rank, cache.CountTiers(local, remote, host))
+	if tiers := cache.CountTiers(local, remote, host); s.Account != nil {
+		s.Account(rank, tiers)
+	} else {
+		s.Cache.Account(rank, tiers)
+	}
 	n := lc.N
 
-	// Feature tier of the frontier walk: the split names exactly the
-	// host-tier rows the UVA side path is about to read — prefetch their
-	// blocks now (MaxInflight-way parallel, non-blocking) so the spill reads
-	// overlap the NVLink path instead of serialising in the toucher.
-	if s.Host != nil && len(host) > 0 {
-		s.Host.PrefetchFeatures(host)
+	coldPath := s.ColdPath
+	if coldPath == nil {
+		coldPath = s.uvaPath
 	}
-
-	// Cold rows via UVA, concurrently with the NVLink path.
-	uvaDone := s.M.Eng.NewEvent()
-	if len(host) > 0 {
-		s.M.Eng.Go(fmt.Sprintf("gpu%d/uva", rank), func(cp *sim.Proc) {
-			// Host rows must be cache-resident before UVA can read them:
-			// the out-of-core tier stalls this side path (not the NVLink
-			// path) on any spill-device fetch.
-			if s.Host != nil {
-				s.Host.TouchFeatures(cp, host)
-			}
-			dev.UVARead(cp, s.M.Fabric, int64(len(host)), d.RowBytes(), hw.TrafficFeature)
-			uvaDone.Trigger()
-		})
-	} else {
-		uvaDone.Trigger()
-	}
+	coldDone := coldPath(rank, host)
 
 	// Local cache hits: one gather kernel.
 	if len(local) > 0 {
@@ -126,24 +71,54 @@ func (s *DSP) Load(p *sim.Proc, rank int, mb *sample.MiniBatch, lc *comm.Communi
 		}
 		replies := make([][]float32, n)
 		for q := 0; q < n; q++ {
-			replies[q] = s.zeroRows(len(reqIn[q]))
+			replies[q] = s.zeroPayload(len(reqIn[q]) * d.FeatDim)
 		}
 		comm.AllToAll(lc, p, rank, replies, comm.Compressed(s.Opts.FeatCodec, hw.TrafficFeature))
 	}
 
-	uvaDone.Wait(p)
+	coldDone(p)
 	// Assemble the contiguous input-feature buffer.
 	dev.RunKernel(p, hw.KernelGather, int64(len(ids))*int64(d.RowBytes()))
 	gather.Join()
 	return Loaded{MB: mb, Feats: feats}
 }
 
+// uvaPath is the single-machine cold path: the host-tier rows over UVA,
+// concurrently with the NVLink path.
+func (s *DSP) uvaPath(rank int, host []graph.NodeID) func(*sim.Proc) {
+	// Feature tier of the frontier walk: the split names exactly the
+	// host-tier rows the UVA side path is about to read — prefetch their
+	// blocks now (MaxInflight-way parallel, non-blocking) so the spill reads
+	// overlap the NVLink path instead of serialising in the toucher.
+	if s.Host != nil && len(host) > 0 {
+		s.Host.PrefetchFeatures(host)
+	}
+	done := s.M.Eng.NewEvent()
+	if len(host) == 0 {
+		done.Trigger()
+		return done.Wait
+	}
+	s.M.Eng.Go(fmt.Sprintf("gpu%d/uva", rank), func(cp *sim.Proc) {
+		// Host rows must be cache-resident before UVA can read them: the
+		// out-of-core tier stalls this side path (not the NVLink path) on
+		// any spill-device fetch.
+		if s.Host != nil {
+			s.Host.TouchFeatures(cp, host)
+		}
+		s.M.GPUs[rank].UVARead(cp, s.M.Fabric, int64(len(host)), s.Opts.Data.RowBytes(), hw.TrafficFeature)
+		done.Trigger()
+	})
+	return done.Wait
+}
+
 // Train implements ExecutionStrategy: the standard data-parallel step.
 func (s *DSP) Train(p *sim.Proc, rank int, l Loaded, st *train.EpochStats) {
-	s.Trainer.Step(p, s.M.GPUs[rank], rank, l.MB, l.Feats, st)
-	if l.Feats != nil {
-		s.pool.Put(l.Feats) // the step has consumed the staged gather
-	}
+	s.step(p, rank, l, st)
+}
+
+// Infer implements ExecutionStrategy: the full nominal forward pass.
+func (s *DSP) Infer(p *sim.Proc, rank int, l Loaded) []int32 {
+	return s.infer(p, rank, l, nn.NominalForwardFlops)
 }
 
 // Section implements ExecutionStrategy. DSP reports through the existing

@@ -5,9 +5,11 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/nn"
 	"repro/internal/sample"
+	"repro/internal/serve"
 	"repro/internal/strategy"
 	"repro/internal/train"
 )
@@ -134,14 +136,26 @@ func TestP3EpochAndSection(t *testing.T) {
 }
 
 // TestP3RejectsIncompatibleOptions: the p3 layout has no per-row cache, so
-// row-policy knobs and fault injection are configuration errors, not silent
-// no-ops.
+// row-policy knobs, fault injection and multi-instance workers are
+// configuration errors, not silent no-ops — for training (core.New) and
+// serving (serve.NewServer) alike, both of which ask CheckCompatible.
 func TestP3RejectsIncompatibleOptions(t *testing.T) {
 	td := testData(t, 2)
+	crash := []fault.Fault{{Kind: fault.Crash, GPU: 1, At: 0.01}}
+	serveCfg := serve.Config{Data: td, Duration: 0.01, Rate: 1000, Strategy: "p3"}
+	// The unmutated configs are valid, so each rejection below is the knob's.
+	if _, err := core.New(realOpts(td, "p3")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serve.NewServer(serveCfg); err != nil {
+		t.Fatal(err)
+	}
 	for name, mutate := range map[string]func(*train.Options){
 		"dynamic cache":   func(o *train.Options) { o.DynamicCache = cache.LFUDecay },
 		"cache budget":    func(o *train.Options) { o.FeatureCacheBudget = 1 << 20 },
 		"replicated":      func(o *train.Options) { o.ReplicatedCache = true },
+		"faults":          func(o *train.Options) { o.Faults = crash },
+		"multi-instance":  func(o *train.Options) { o.NumLoaders = 2 },
 		"unknown variant": func(o *train.Options) { o.Strategy = "p4" },
 	} {
 		o := realOpts(td, "p3")
@@ -149,5 +163,22 @@ func TestP3RejectsIncompatibleOptions(t *testing.T) {
 		if _, err := core.New(o); err == nil {
 			t.Errorf("%s: core.New accepted an incompatible p3 config", name)
 		}
+	}
+	for name, mutate := range map[string]func(*serve.Config){
+		"serve dynamic cache":   func(c *serve.Config) { c.DynamicCache = cache.LFUDecay },
+		"serve cache budget":    func(c *serve.Config) { c.FeatureCacheBudget = 1 << 20 },
+		"serve faults":          func(c *serve.Config) { c.Faults = crash },
+		"serve unknown variant": func(c *serve.Config) { c.Strategy = "p4" },
+	} {
+		c := serveCfg
+		mutate(&c)
+		if _, err := serve.NewServer(c); err == nil {
+			t.Errorf("%s: serve.NewServer accepted an incompatible p3 config", name)
+		}
+	}
+	if err := strategy.CheckCompatible(strategy.KindDSP, strategy.Knobs{
+		ReplicatedCache: true, DynamicCache: cache.LFUDecay, CacheBudget: 1, Faults: true, MultiInstance: true,
+	}); err != nil {
+		t.Errorf("dsp rejected a knob: %v", err)
 	}
 }

@@ -179,6 +179,20 @@ type Trainer struct {
 	Models []*nn.Model
 	Optims []nn.Optimizer
 	Grad   [][]float32
+
+	// PriceElems, when positive, is the gradient element count the
+	// allreduce wire is charged for (P3 keeps its dimension-sharded
+	// first-layer weights off the ring; the values still reduce in full).
+	PriceElems int
+	// Flops, when set, replaces nn.NominalFlops as the cost-only compute
+	// charge of a step (P3's residual after its exchange).
+	Flops func(nn.Config, *sample.MiniBatch) int64
+	// CrossSync, when set, extends the gradient sum past this machine
+	// (MultiDSP's inter-machine ring): it runs on every rank after the
+	// intra-machine allreduce and leaves the cluster-wide sum in grad, which
+	// then averages over Replicas instead of Comm.N.
+	CrossSync func(p *sim.Proc, rank int, grad []float32)
+	Replicas  int
 }
 
 // NewTrainer builds per-rank model replicas (identical seeds) when
@@ -200,8 +214,12 @@ func NewTrainer(opts Options, c *comm.Communicator) *Trainer {
 
 // Step runs one mini-batch training step on rank's GPU.
 func (t *Trainer) Step(p *sim.Proc, dev *hw.Device, rank int, mb *sample.MiniBatch, feats []float32, st *EpochStats) {
+	grad := t.Grad[rank]
+	o := comm.Compressed(t.Opts.GradCodec, hw.TrafficGradient)
+	o.PriceElems = t.PriceElems
+	var m *nn.Model
 	if t.Opts.RealCompute {
-		m := t.Models[rank]
+		m = t.Models[rank]
 		m.ZeroGrads()
 		if len(mb.Seeds) > 0 {
 			loss, correct, flops := m.TrainStep(mb, feats, SeedLabels(t.Opts.Data, mb))
@@ -210,24 +228,34 @@ func (t *Trainer) Step(p *sim.Proc, dev *hw.Device, rank int, mb *sample.MiniBat
 			st.Correct += correct
 			st.Seen += len(mb.Seeds)
 		}
-		m.GradVector(t.Grad[rank])
-		t.Comm.AllReduceSum(p, rank, t.Grad[rank], comm.Compressed(t.Opts.GradCodec, hw.TrafficGradient))
-		inv := float32(1.0) / float32(t.Comm.N)
-		for i := range t.Grad[rank] {
-			t.Grad[rank][i] *= inv
+		m.GradVector(grad)
+	} else {
+		// Cost-only: charge nominal kernel work; gradients still move for
+		// real. Grad stays all-zero (a CrossSync sum of zeros included), so
+		// the communicator may reuse its cached encode round over round.
+		if len(mb.Seeds) > 0 {
+			dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(t.Opts.Model, mb))
+			flops := t.Flops
+			if flops == nil {
+				flops = nn.NominalFlops
+			}
+			dev.RunKernel(p, hw.KernelCompute, flops(t.Opts.Model, mb))
 		}
-		m.SetGradVector(t.Grad[rank])
-		t.Optims[rank].Step(m)
+		o.Static = true
+	}
+	t.Comm.AllReduceSum(p, rank, grad, o)
+	replicas := t.Comm.N
+	if t.CrossSync != nil {
+		t.CrossSync(p, rank, grad)
+		replicas = t.Replicas
+	}
+	if m == nil {
 		return
 	}
-	// Cost-only: charge nominal kernel work; gradients still move for real.
-	if len(mb.Seeds) > 0 {
-		dev.RunKernel(p, hw.KernelGather, nn.NominalAggBytes(t.Opts.Model, mb))
-		dev.RunKernel(p, hw.KernelCompute, nn.NominalFlops(t.Opts.Model, mb))
+	inv := float32(1.0) / float32(replicas)
+	for i := range grad {
+		grad[i] *= inv
 	}
-	// The cost-only path never writes Grad (it stays all-zero), so the
-	// communicator may reuse its cached encode round over round.
-	o := comm.Compressed(t.Opts.GradCodec, hw.TrafficGradient)
-	o.Static = true
-	t.Comm.AllReduceSum(p, rank, t.Grad[rank], o)
+	m.SetGradVector(grad)
+	t.Optims[rank].Step(m)
 }

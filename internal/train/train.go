@@ -347,6 +347,9 @@ func (o Options) Validate() error {
 	if o.Data == nil {
 		return fmt.Errorf("train: options missing Data")
 	}
+	if err := hw.CheckGPUs(o.Data.NumGPUs()); err != nil {
+		return fmt.Errorf("train: %d data patches: %w", o.Data.NumGPUs(), err)
+	}
 	if len(o.Sample.Fanout) != o.Model.Layers {
 		return fmt.Errorf("train: %d fan-outs for %d model layers", len(o.Sample.Fanout), o.Model.Layers)
 	}
