@@ -300,10 +300,9 @@ func (b *Baseline) RunEpoch(epoch int) (train.EpochStats, error) {
 	if b.Kind == FastGCN {
 		return train.EpochStats{}, fmt.Errorf("baselines: FastGCN supports sampling epochs only (Table 7)")
 	}
-	return train.RunEpoch(b.m, epoch, false, 1, b.Opts.EffectiveStageOverhead(),
+	return train.RunEpochSteps([]*hw.Machine{b.m}, nil, epoch, 0, b.sched.Steps, false, 1, b.Opts.EffectiveStageOverhead(),
 		func(rank int, st *train.EpochStats) pipeline.Stages {
 			return pipeline.Stages{
-				NumBatches: b.sched.Steps,
 				Sample: func(p *sim.Proc, step int) interface{} {
 					return b.sampleStage(p, rank, epoch, step)
 				},
@@ -321,24 +320,8 @@ func (b *Baseline) RunEpoch(epoch int) (train.EpochStats, error) {
 
 // RunSampleEpoch implements train.System (Table 6 / Table 7 measurements).
 func (b *Baseline) RunSampleEpoch(epoch int) (train.EpochStats, error) {
-	n := b.Opts.Data.NumGPUs()
-	eng := b.m.Eng
-	start := eng.Now()
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		eng.Go(fmt.Sprintf("gpu%d/sampler", rank), func(p *sim.Proc) {
-			overhead := b.Opts.EffectiveStageOverhead()
-			for step := 0; step < b.sched.Steps; step++ {
-				p.Sleep(overhead)
-				b.sampleStage(p, rank, epoch, step)
-			}
-		})
-	}
-	end, err := eng.Run()
-	if err != nil {
-		return train.EpochStats{}, err
-	}
-	return train.EpochStats{Epoch: epoch, SampleTime: end - start, EpochTime: end - start}, nil
+	return train.RunSampleEpoch(b.m, epoch, b.sched.Steps, b.Opts.EffectiveStageOverhead(),
+		func(p *sim.Proc, rank, step int) { b.sampleStage(p, rank, epoch, step) })
 }
 
 var _ train.System = (*Baseline)(nil)

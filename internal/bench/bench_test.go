@@ -352,10 +352,14 @@ func TestAblationFusedShape(t *testing.T) {
 }
 
 func TestAblationMultiWorkerRuns(t *testing.T) {
+	// Multi-instance epochs under CCC must complete at the bench config
+	// (warm-up 1, measure 2) and over three epochs without the gradient
+	// codec: every instance issues its collectives in step order on every
+	// GPU, whatever the relative speed of the instances.
 	if testing.Short() {
 		t.Skip("worker sweep")
 	}
-	tab, err := AblationMultiWorker(quick)
+	tab, err := AblationMultiWorker(RunConfig{Shrink: 12, Warmup: 1, Measure: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,6 +367,25 @@ func TestAblationMultiWorkerRuns(t *testing.T) {
 		for _, row := range tab.Rows {
 			if tab.Get(row, ds) <= 0 {
 				t.Errorf("%s %s: no epoch time", row, ds)
+			}
+		}
+	}
+	for _, ds := range []string{"papers", "friendster"} {
+		td := prepared(ds, 8, 12, false, true)
+		for _, w := range [][2]int{{2, 2}, {2, 1}, {1, 2}} {
+			opts := baseOpts(td, quick)
+			opts.Model = sageModel(td)
+			opts.Sample = defaultFanout()
+			opts.NumSamplers, opts.NumLoaders = w[0], w[1]
+			opts.GradCodec = nil
+			sys, err := buildSystem("DSP", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := 0; e < 3; e++ {
+				if _, err := sys.RunEpoch(e); err != nil {
+					t.Fatalf("%s %dS/%dL without codec, epoch %d: %v", ds, w[0], w[1], e, err)
+				}
 			}
 		}
 	}

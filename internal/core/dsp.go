@@ -56,17 +56,17 @@ type DSP struct {
 	cacheMgr  *cache.Manager
 	coord     *pipeline.Coordinator
 
-	loaderComm *comm.Communicator
-	trainer    *train.Trainer
-	sched      train.Schedule
-	inj        *fault.Injector
+	trainer *train.Trainer
+	sched   train.Schedule
+	inj     *fault.Injector
 
 	// strat owns the per-round gather/forward/backward orchestration
 	// (internal/strategy): the DSP hot/cold gather or the P3 push-pull mode.
 	strat strategy.ExecutionStrategy
 
-	// Multi-instance worker state (paper §5 ablation): extra sampler
-	// worlds and loader communicators, one per instance.
+	// Per-instance worker state (paper §5 multi-instance ablation): one
+	// sampler world and one loader communicator per worker instance; a
+	// single-instance run has one of each (worlds[0] is world).
 	worlds      []*csp.World
 	loaderComms []*comm.Communicator
 }
@@ -90,6 +90,11 @@ func New(opts train.Options) (*DSP, error) {
 		MultiInstance:   opts.NumSamplers > 1 || opts.NumLoaders > 1,
 	}); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
+	}
+	// Fault recovery (view-driven collective aborts, CCC leader failover,
+	// partial-epoch replay) is built and tested for one instance per stage.
+	if len(opts.Faults) > 0 && (opts.NumSamplers > 1 || opts.NumLoaders > 1) {
+		return nil, fmt.Errorf("core: fault tolerance is unsupported with multi-instance workers")
 	}
 	d := opts.Data
 	n := d.NumGPUs()
@@ -166,26 +171,10 @@ func New(opts train.Options) (*DSP, error) {
 
 	// Feature cache: topology first (the Figure 10 insight), features with
 	// the remaining or configured budget.
-	budget := opts.FeatureCacheBudget
-	if budget <= 0 {
-		budget = s.minFreeMem() * 9 / 10 // leave headroom for activations
-	}
-	policy := featstore.Policy(opts.CachePolicy)
-	switch {
-	case kind == strategy.KindP3:
-		// P3: every GPU holds a full-row [#Nodes, F/world] column slice —
-		// no hot/cold split, no budget knob; the slab either fits or the
-		// Reserve below fails.
-		s.store = featstore.BuildDimSliced(d.Feats, d.FeatDim, n)
-	case opts.ReplicatedCache:
-		s.store = featstore.BuildReplicated(d.G, d.Feats, d.FeatDim, n, budget, policy)
-	default:
-		s.store = featstore.BuildPartitioned(d.G, d.Feats, d.FeatDim, d.Offsets, budget, policy)
-	}
-	for g := 0; g < n; g++ {
-		if err := s.m.GPUs[g].Reserve(s.store.CacheBytes(g)); err != nil {
-			return nil, fmt.Errorf("core: feature cache: %w", err)
-		}
+	s.store, err = strategy.BuildStore(kind, s.m, d, opts.FeatureCacheBudget,
+		featstore.Policy(opts.CachePolicy), opts.ReplicatedCache)
+	if err != nil {
+		return nil, fmt.Errorf("core: feature cache: %w", err)
 	}
 	mcfg := opts.CacheTune
 	mcfg.Policy = opts.DynamicCache
@@ -204,7 +193,6 @@ func New(opts train.Options) (*DSP, error) {
 	for j := 0; j < nL; j++ {
 		s.loaderComms = append(s.loaderComms, comm.New(s.m))
 	}
-	s.loaderComm = s.loaderComms[0]
 	trainerComm := comm.New(s.m)
 	if opts.UseCCC {
 		for i, w := range s.worlds {
@@ -229,16 +217,6 @@ func New(opts train.Options) (*DSP, error) {
 		s.cacheMgr.SetView(inj.View())
 	}
 	return s, nil
-}
-
-func (s *DSP) minFreeMem() int64 {
-	free := s.m.GPUs[0].MemFree()
-	for _, g := range s.m.GPUs[1:] {
-		if f := g.MemFree(); f < free {
-			free = f
-		}
-	}
-	return free
 }
 
 // Name implements train.System.
@@ -341,32 +319,23 @@ func (s *DSP) Compression() map[hw.TrafficClass]comm.CompressionStats {
 	return out
 }
 
-// sampleStage builds the step's graph samples via CSP (or the data-pull
-// alternative when the Figure 11 ablation is selected).
-func (s *DSP) sampleStage(p *sim.Proc, rank, epoch, step int) *sample.MiniBatch {
-	return s.sampleStageWith(p, rank, epoch, step, s.world)
-}
-
-func (s *DSP) sampleStageWith(p *sim.Proc, rank, epoch, step int, w *csp.World) *sample.MiniBatch {
+// sampleStage builds the step's graph samples on world w via CSP (or the
+// data-pull alternative when the Figure 11 ablation is selected).
+func (s *DSP) sampleStage(p *sim.Proc, w *csp.World, rank, epoch, step int) *sample.MiniBatch {
 	seeds := s.sched.Batch(s.Opts.Data, s.Opts.Seed, epoch, step, rank)
 	bs := train.BatchSeed(s.Opts.Seed, epoch, step, rank)
-	var mb *sample.MiniBatch
 	switch {
 	case s.Opts.PullData:
-		mb = w.PullDataSampleBatch(p, rank, seeds, s.Opts.Sample, bs)
+		return w.PullDataSampleBatch(p, rank, seeds, s.Opts.Sample, bs)
 	case s.Opts.UnfusedSampling:
-		mb = w.SampleBatchUnfused(p, rank, seeds, s.Opts.Sample, bs)
+		return w.SampleBatchUnfused(p, rank, seeds, s.Opts.Sample, bs)
 	default:
-		mb = w.SampleBatch(p, rank, seeds, s.Opts.Sample, bs)
+		return w.SampleBatch(p, rank, seeds, s.Opts.Sample, bs)
 	}
-	return mb
 }
 
 // RunEpoch implements train.System.
 func (s *DSP) RunEpoch(epoch int) (train.EpochStats, error) {
-	if s.Opts.Pipeline && (len(s.worlds) > 1 || len(s.loaderComms) > 1) {
-		return s.runEpochMulti(epoch)
-	}
 	return s.RunEpochRange(epoch, 0, s.sched.Steps)
 }
 
@@ -375,23 +344,29 @@ func (s *DSP) RunEpoch(epoch int) (train.EpochStats, error) {
 // the shard rebalance runs at the boundary and its migration cost is charged
 // to the epoch's virtual time.
 func (s *DSP) RunEpochRange(epoch, from, to int) (train.EpochStats, error) {
-	if len(s.worlds) > 1 || len(s.loaderComms) > 1 {
-		return train.EpochStats{}, fmt.Errorf("core: fault tolerance is unsupported with multi-instance workers")
-	}
 	before := s.cacheMgr.Stats()
 	var storeBefore store.Stats
 	if s.hostStore != nil {
 		storeBefore = s.hostStore.Stats()
 	}
-	st, err := train.RunEpochSteps(s.m, epoch, from, to, s.Opts.Pipeline, s.Opts.QueueCap, s.Opts.EffectiveStageOverhead(),
+	// Extra worker instances contend for the same host cores, so each
+	// stage's framework overhead grows with the total instance count (the
+	// paper's second reason against them: "the resource contention for
+	// both CPU and GPU is more severe").
+	overhead := s.Opts.EffectiveStageOverhead()
+	if workers := len(s.worlds) + len(s.loaderComms) + 1; workers > 3 {
+		overhead = overhead * sim.Time(workers) / 3
+	}
+	st, err := train.RunEpochSteps([]*hw.Machine{s.m}, nil, epoch, from, to, s.Opts.Pipeline, s.Opts.QueueCap, overhead,
 		func(rank int, st *train.EpochStats) pipeline.Stages {
 			return pipeline.Stages{
-				NumBatches: s.sched.Steps,
+				Samplers: len(s.worlds),
+				Loaders:  len(s.loaderComms),
 				Sample: func(p *sim.Proc, step int) interface{} {
-					return s.sampleStage(p, rank, epoch, step)
+					return s.sampleStage(p, s.worlds[step%len(s.worlds)], rank, epoch, step)
 				},
 				Load: func(p *sim.Proc, step int, v interface{}) interface{} {
-					return s.strat.Load(p, rank, v.(*sample.MiniBatch), s.loaderComm)
+					return s.strat.Load(p, rank, v.(*sample.MiniBatch), s.loaderComms[step%len(s.loaderComms)])
 				},
 				Train: func(p *sim.Proc, step int, v interface{}) {
 					s.strat.Train(p, rank, v.(strategy.Loaded), st)
@@ -497,94 +472,10 @@ func (s *DSP) Restore(st *ckpt.TrainState) error {
 	return nil
 }
 
-// runEpochMulti runs one epoch with multiple sampler/loader worker
-// instances per GPU (the §5 multi-instance ablation).
-func (s *DSP) runEpochMulti(epoch int) (train.EpochStats, error) {
-	eng := s.m.Eng
-	start := eng.Now()
-	before := s.m.Fabric.Counters
-	for _, g := range s.m.GPUs {
-		g.ResetBusy()
-	}
-	// More worker instances contend for the same host cores, so each
-	// stage's framework overhead grows with the total instance count (the
-	// paper's second reason: "the resource contention for both CPU and GPU
-	// is more severe").
-	workers := len(s.worlds) + len(s.loaderComms) + 1
-	overhead := s.Opts.EffectiveStageOverhead() * sim.Time(workers) / 3
-	stats := make([]train.EpochStats, len(s.m.GPUs))
-	var dones []*sim.Event
-	for rank := range s.m.GPUs {
-		rank := rank
-		st := &stats[rank]
-		ms := pipeline.MultiStages{NumBatches: s.sched.Steps}
-		for _, w := range s.worlds {
-			w := w
-			ms.Samplers = append(ms.Samplers, func(p *sim.Proc, step int) interface{} {
-				p.Sleep(overhead)
-				return s.sampleStageWith(p, rank, epoch, step, w)
-			})
-		}
-		for _, lc := range s.loaderComms {
-			lc := lc
-			ms.Loaders = append(ms.Loaders, func(p *sim.Proc, step int, v interface{}) interface{} {
-				p.Sleep(overhead)
-				return s.strat.Load(p, rank, v.(*sample.MiniBatch), lc)
-			})
-		}
-		ms.Train = func(p *sim.Proc, step int, v interface{}) {
-			p.Sleep(overhead)
-			s.strat.Train(p, rank, v.(strategy.Loaded), st)
-		}
-		done := eng.NewEvent()
-		dones = append(dones, done)
-		pipeline.RunPipelinedMulti(eng, fmt.Sprintf("gpu%d", rank), ms, s.Opts.QueueCap, done)
-	}
-	end, err := eng.Run()
-	if err != nil {
-		return train.EpochStats{}, err
-	}
-	for _, d := range dones {
-		if !d.Fired() {
-			return train.EpochStats{}, fmt.Errorf("core: multi-worker epoch incomplete")
-		}
-	}
-	out := train.EpochStats{Epoch: epoch, EpochTime: end - start}
-	for _, st := range stats {
-		out.Loss += st.Loss
-		out.Correct += st.Correct
-		out.Seen += st.Seen
-	}
-	out.Utilization = s.m.Utilization(start, end)
-	after := s.m.Fabric.Counters
-	out.SampleWire = after.TotalWire(hw.TrafficSample) - before.TotalWire(hw.TrafficSample)
-	out.FeatureWire = after.TotalWire(hw.TrafficFeature) - before.TotalWire(hw.TrafficFeature)
-	out.GradWire = after.TotalWire(hw.TrafficGradient) - before.TotalWire(hw.TrafficGradient)
-	return out, nil
-}
-
-// RunSampleEpoch implements train.System: only the samplers run (the
-// paper's Table 6 methodology — "running the sampler individually without
-// interference from other workers").
+// RunSampleEpoch implements train.System: only the samplers run (Table 6).
 func (s *DSP) RunSampleEpoch(epoch int) (train.EpochStats, error) {
-	n := s.Opts.Data.NumGPUs()
-	eng := s.m.Eng
-	start := eng.Now()
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		eng.Go(fmt.Sprintf("gpu%d/sampler", rank), func(p *sim.Proc) {
-			overhead := s.Opts.EffectiveStageOverhead()
-			for step := 0; step < s.sched.Steps; step++ {
-				p.Sleep(overhead)
-				s.sampleStage(p, rank, epoch, step)
-			}
-		})
-	}
-	end, err := eng.Run()
-	if err != nil {
-		return train.EpochStats{}, err
-	}
-	return train.EpochStats{Epoch: epoch, SampleTime: end - start, EpochTime: end - start}, nil
+	return train.RunSampleEpoch(s.m, epoch, s.sched.Steps, s.Opts.EffectiveStageOverhead(),
+		func(p *sim.Proc, rank, step int) { s.sampleStage(p, s.world, rank, epoch, step) })
 }
 
 // RandomWalkEpoch runs one pass of random walks from every shard seed (the

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/hw"
 	"repro/internal/nn"
@@ -434,6 +436,57 @@ func TestDSPMultiWorkerBSPIdentical(t *testing.T) {
 		if single[i] != multi[i] {
 			t.Fatalf("multi-worker model diverges at %d", i)
 		}
+	}
+}
+
+func TestDSPMultiWorkerKeepsCacheWork(t *testing.T) {
+	// Multi-instance epochs run through the same epoch driver as 1S/1L: the
+	// adaptive cache sees every read (same tier counts at the same fixed
+	// budget), the epoch-boundary rebalance runs, and stage times add up.
+	td := testData(t, 4)
+	run := func(samplers, loaders int) train.EpochStats {
+		o := dynamicOpts(td)
+		o.NumSamplers, o.NumLoaders = samplers, loaders
+		sys, err := core.New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := sys.RunEpoch(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	single, multi := run(1, 1), run(2, 2)
+	if multi.CacheLocal != single.CacheLocal || multi.CachePeer != single.CachePeer || multi.CacheHost != single.CacheHost {
+		t.Fatalf("2S/2L tiers %d/%d/%d, 1S/1L %d/%d/%d", multi.CacheLocal, multi.CachePeer, multi.CacheHost,
+			single.CacheLocal, single.CachePeer, single.CacheHost)
+	}
+	if multi.CachePromoted == 0 || multi.RebalanceBytes == 0 {
+		t.Fatalf("2S/2L epoch 0 skipped the rebalance: promoted %d, bytes %d", multi.CachePromoted, multi.RebalanceBytes)
+	}
+	if multi.SampleStage <= 0 || multi.LoadStage <= 0 || multi.TrainStage <= 0 {
+		t.Fatalf("2S/2L stage times missing: %v/%v/%v", multi.SampleStage, multi.LoadStage, multi.TrainStage)
+	}
+}
+
+func TestDSPMultiWorkerOptionErrors(t *testing.T) {
+	td := testData(t, 2)
+	seq := smallOpts(td)
+	seq.Pipeline = false
+	seq.NumSamplers = 2
+	if _, err := core.New(seq); err == nil || !strings.Contains(err.Error(), "need the pipeline") {
+		t.Fatalf("DSP-Seq with 2 samplers: got %v, want a pipeline error", err)
+	}
+	ft := smallOpts(td)
+	ft.NumLoaders = 2
+	ft.Faults = []fault.Fault{{Kind: fault.Crash, GPU: 1, At: 0.01}}
+	if _, err := core.New(ft); err == nil || !strings.Contains(err.Error(), "fault tolerance is unsupported with multi-instance") {
+		t.Fatalf("faults with 2 loaders: got %v, want a multi-instance fault error", err)
+	}
+	ft.Faults = nil
+	if _, err := core.New(ft); err != nil {
+		t.Fatalf("2 loaders without faults: %v", err)
 	}
 }
 

@@ -74,7 +74,6 @@ func NewMulti(opts train.Options, machines int, net hw.NetworkSpec) (*MultiDSP, 
 	s.interBarrier = s.cluster.Eng.NewBarrier(machines * n)
 	s.interSlots = make([][]float32, machines)
 
-	budget := opts.FeatureCacheBudget
 	topoBudget := opts.TopoCacheBudget
 	if topoBudget <= 0 {
 		topoBudget = opts.GPU.MemBytes * 6 / 10
@@ -86,21 +85,10 @@ func NewMulti(opts train.Options, machines int, net hw.NetworkSpec) (*MultiDSP, 
 			return nil, fmt.Errorf("core: machine %d topology: %w", m, err)
 		}
 		s.worlds = append(s.worlds, world)
-		b := budget
-		if b <= 0 {
-			free := mach.GPUs[0].MemFree()
-			for _, g := range mach.GPUs[1:] {
-				if f := g.MemFree(); f < free {
-					free = f
-				}
-			}
-			b = free * 9 / 10
-		}
-		store := featstore.BuildPartitioned(d.G, d.Feats, d.FeatDim, d.Offsets, b, featstore.Policy(opts.CachePolicy))
-		for g := 0; g < n; g++ {
-			if err := mach.GPUs[g].Reserve(store.CacheBytes(g)); err != nil {
-				return nil, fmt.Errorf("core: machine %d cache: %w", m, err)
-			}
+		store, err := strategy.BuildStore(strategy.KindDSP, mach, d, opts.FeatureCacheBudget,
+			featstore.Policy(opts.CachePolicy), false)
+		if err != nil {
+			return nil, fmt.Errorf("core: machine %d cache: %w", m, err)
 		}
 		coord := pipeline.NewCoordinator(s.cluster.Eng, n, opts.UseCCC, 2)
 		coord.Tracer = func() *trace.Tracer { return mach.GPUs[0].Tracer }
@@ -256,87 +244,24 @@ func (s *MultiDSP) gradientRing(machine int) func(p *sim.Proc, rank int, grad []
 	}
 }
 
-// RunEpoch executes one cluster-wide training epoch.
+// RunEpoch executes one cluster-wide training epoch: the single-machine
+// stages on every global rank m*gpusEach+g, through the one epoch driver.
 func (s *MultiDSP) RunEpoch(epoch int) (train.EpochStats, error) {
-	eng := s.cluster.Eng
-	start := eng.Now()
-	var netBefore int64
-	for i := 0; i < len(s.cluster.Net.Bytes); i++ {
-		netBefore += s.cluster.Net.Bytes[i]
-	}
-	for _, mach := range s.cluster.Machines {
-		for _, g := range mach.GPUs {
-			g.ResetBusy()
-		}
-	}
-	type wires struct{ s, f, g int64 }
-	before := make([]wires, s.NumMachines)
-	for m, mach := range s.cluster.Machines {
-		before[m] = wires{
-			mach.Fabric.Counters.TotalWire(hw.TrafficSample),
-			mach.Fabric.Counters.TotalWire(hw.TrafficFeature),
-			mach.Fabric.Counters.TotalWire(hw.TrafficGradient),
-		}
-	}
-	stats := make([]train.EpochStats, s.NumMachines*s.gpusEach)
-	var dones []*sim.Event
-	overhead := s.Opts.EffectiveStageOverhead()
-	for m := 0; m < s.NumMachines; m++ {
-		for g := 0; g < s.gpusEach; g++ {
-			m, g := m, g
-			st := &stats[m*s.gpusEach+g]
-			stages := pipeline.Stages{
-				NumBatches: s.steps,
+	return train.RunEpochSteps(s.cluster.Machines, s.cluster.Net, epoch, 0, s.steps, s.Opts.Pipeline, s.Opts.QueueCap,
+		s.Opts.EffectiveStageOverhead(), func(rank int, st *train.EpochStats) pipeline.Stages {
+			m, g := rank/s.gpusEach, rank%s.gpusEach
+			return pipeline.Stages{
 				Sample: func(p *sim.Proc, step int) interface{} {
-					p.Sleep(overhead)
 					seeds := s.batch(epoch, step, m, g)
 					bs := train.BatchSeed(s.Opts.Seed, epoch, step*s.NumMachines+m, g)
 					return s.worlds[m].SampleBatch(p, g, seeds, s.Opts.Sample, bs)
 				},
 				Load: func(p *sim.Proc, step int, v interface{}) interface{} {
-					p.Sleep(overhead)
 					return s.strats[m].Load(p, g, v.(*sample.MiniBatch), s.loaders[m])
 				},
 				Train: func(p *sim.Proc, step int, v interface{}) {
-					p.Sleep(overhead)
 					s.strats[m].Train(p, g, v.(strategy.Loaded), st)
 				},
 			}
-			done := eng.NewEvent()
-			dones = append(dones, done)
-			name := fmt.Sprintf("m%dg%d", m, g)
-			if s.Opts.Pipeline {
-				pipeline.RunPipelined(eng, name, stages, s.Opts.QueueCap, done)
-			} else {
-				pipeline.RunSequential(eng, name, stages, done)
-			}
-		}
-	}
-	end, err := eng.Run()
-	if err != nil {
-		return train.EpochStats{}, err
-	}
-	for _, d := range dones {
-		if !d.Fired() {
-			return train.EpochStats{}, fmt.Errorf("core: cluster epoch incomplete")
-		}
-	}
-	out := train.EpochStats{Epoch: epoch, EpochTime: end - start}
-	for _, st := range stats {
-		out.Loss += st.Loss
-		out.Correct += st.Correct
-		out.Seen += st.Seen
-	}
-	for m, mach := range s.cluster.Machines {
-		out.Utilization = append(out.Utilization, mach.Utilization(start, end)...)
-		out.SampleWire += mach.Fabric.Counters.TotalWire(hw.TrafficSample) - before[m].s
-		out.FeatureWire += mach.Fabric.Counters.TotalWire(hw.TrafficFeature) - before[m].f
-		out.GradWire += mach.Fabric.Counters.TotalWire(hw.TrafficGradient) - before[m].g
-	}
-	var netAfter int64
-	for i := 0; i < len(s.cluster.Net.Bytes); i++ {
-		netAfter += s.cluster.Net.Bytes[i]
-	}
-	out.InterWire = netAfter - netBefore
-	return out, nil
+		})
 }

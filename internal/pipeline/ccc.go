@@ -10,6 +10,16 @@
 // resource the other's peer needs — a cycle. CCC designates GPU 0 the
 // leader: collectives launch everywhere in the order the leader's own
 // workers submitted them, which eliminates cycles by construction.
+//
+// RunPipelined is the one pipeline: one sampler, loader and trainer per GPU,
+// or — the multi-instance design §5 considers and rejects — several sampler
+// and loader instances (Stages.Samplers/Loaders). Every queue operation is
+// named by the step index (step s goes to sampler s%Samplers and loader
+// s%Loaders; one queue per sampler/loader pair, one train queue per loader),
+// so there is nothing to reorder and back-pressure never depends on which
+// instance runs faster on which GPU. That keeps each instance's collectives
+// in the same order on every GPU, which is what CCC's leader order needs.
+// RunSequential is DSP-Seq: the three stages back to back in one worker.
 package pipeline
 
 import (

@@ -17,6 +17,11 @@ type Stages struct {
 	// tail of an epoch after restoring a mid-epoch checkpoint). Steps
 	// [FirstBatch, NumBatches) run.
 	FirstBatch int
+	// Samplers and Loaders are the worker instances per stage (0 means 1):
+	// step s belongs to sampler s%Samplers and loader s%Loaders — the
+	// multi-instance design of the paper's §5. The trainer stays single
+	// (several trainers would break BSP).
+	Samplers, Loaders int
 	// Sample constructs the graph samples for step (the sampler worker).
 	Sample func(p *sim.Proc, step int) interface{}
 	// Load fetches features for the step's samples (the loader worker).
@@ -49,58 +54,81 @@ func (s Stages) stall(tid int, kind string, step int, start, end sim.Time) {
 		map[string]string{"op": kind, "step": fmt.Sprint(step)})
 }
 
-// RunPipelined spawns the three workers for one GPU, joined by bounded
-// queues of the given capacity (the paper finds capacity 2 sufficient).
-// done is triggered when the trainer finishes the epoch.
+// first returns instance i's first step of n instances: the smallest step
+// >= FirstBatch with step%n == i.
+func (s Stages) first(i, n int) int {
+	return s.FirstBatch + ((i-s.FirstBatch)%n+n)%n
+}
+
+// take gets step's item from q and checks it is that step.
+func take(p *sim.Proc, q *sim.QueueOf[queueItem], step int) interface{} {
+	item, _ := q.Get(p) // the queues are never closed
+	if item.step != step {
+		panic(fmt.Sprintf("pipeline: got step %d, want %d (BSP violation)", item.step, step))
+	}
+	return item.v
+}
+
+// RunPipelined spawns the sampler, loader and trainer workers for one GPU,
+// joined by bounded queues of the given capacity (the paper finds capacity 2
+// sufficient). Every queue operation is named by its step index: sampler i
+// puts step s on the queue to loader s%Loaders, which gets it from the queue
+// of sampler s%Samplers, and the trainer gets step s from loader
+// s%Loaders's queue. Back-pressure therefore never depends on which
+// instance happens to be faster, so every GPU issues each worker's
+// collectives in the same step order — what CCC needs to stay deadlock-free
+// with several instances. done is triggered when the trainer finishes the
+// epoch.
 func RunPipelined(eng *sim.Engine, name string, s Stages, queueCap int, done *sim.Event) {
 	if queueCap < 1 {
 		queueCap = 1
 	}
-	loadQ := eng.NewQueue(queueCap)
-	trainQ := eng.NewQueue(queueCap)
-	eng.Go(name+"/sampler", func(p *sim.Proc) {
-		for step := s.FirstBatch; step < s.NumBatches; step++ {
-			v := s.Sample(p, step)
-			t0 := p.Now()
-			loadQ.Put(p, queueItem{step, v})
-			s.stall(trace.LaneSampler, "put", step, t0, p.Now())
+	nS, nL := max(s.Samplers, 1), max(s.Loaders, 1)
+	worker := func(kind string, i, n int) string {
+		if n == 1 {
+			return name + "/" + kind
 		}
-		loadQ.Close()
-	})
-	eng.Go(name+"/loader", func(p *sim.Proc) {
-		for {
-			t0 := p.Now()
-			item, ok := loadQ.Get(p)
-			if !ok {
-				trainQ.Close()
-				return
+		return fmt.Sprintf("%s/%s%d", name, kind, i)
+	}
+	loadQ := make([][]*sim.QueueOf[queueItem], nS) // [sampler][loader]
+	for i := range loadQ {
+		for j := 0; j < nL; j++ {
+			loadQ[i] = append(loadQ[i], sim.NewQueueOf[queueItem](eng, queueCap))
+		}
+	}
+	trainQ := make([]*sim.QueueOf[queueItem], nL)
+	for j := range trainQ {
+		trainQ[j] = sim.NewQueueOf[queueItem](eng, queueCap)
+	}
+	for i := 0; i < nS; i++ {
+		eng.Go(worker("sampler", i, nS), func(p *sim.Proc) {
+			for step := s.first(i, nS); step < s.NumBatches; step += nS {
+				v := s.Sample(p, step)
+				t0 := p.Now()
+				loadQ[i][step%nL].Put(p, queueItem{step, v})
+				s.stall(trace.LaneSampler, "put", step, t0, p.Now())
 			}
-			qi := item.(queueItem)
-			s.stall(trace.LaneLoader, "get", qi.step, t0, p.Now())
-			v := s.Load(p, qi.step, qi.v)
-			t1 := p.Now()
-			trainQ.Put(p, queueItem{qi.step, v})
-			s.stall(trace.LaneLoader, "put", qi.step, t1, p.Now())
-		}
-	})
+		})
+	}
+	for j := 0; j < nL; j++ {
+		eng.Go(worker("loader", j, nL), func(p *sim.Proc) {
+			for step := s.first(j, nL); step < s.NumBatches; step += nL {
+				t0 := p.Now()
+				in := take(p, loadQ[step%nS][j], step)
+				s.stall(trace.LaneLoader, "get", step, t0, p.Now())
+				v := s.Load(p, step, in)
+				t1 := p.Now()
+				trainQ[j].Put(p, queueItem{step, v})
+				s.stall(trace.LaneLoader, "put", step, t1, p.Now())
+			}
+		})
+	}
 	eng.Go(name+"/trainer", func(p *sim.Proc) {
-		want := s.FirstBatch
-		for {
+		for step := s.FirstBatch; step < s.NumBatches; step++ {
 			t0 := p.Now()
-			item, ok := trainQ.Get(p)
-			if !ok {
-				break
-			}
-			qi := item.(queueItem)
-			s.stall(trace.LaneTrainer, "get", qi.step, t0, p.Now())
-			if qi.step != want {
-				panic(fmt.Sprintf("pipeline: trainer got step %d, want %d (BSP violation)", qi.step, want))
-			}
-			want++
-			s.Train(p, qi.step, qi.v)
-		}
-		if want != s.NumBatches {
-			panic(fmt.Sprintf("pipeline: trainer saw %d of %d steps", want, s.NumBatches))
+			in := take(p, trainQ[step%nL], step)
+			s.stall(trace.LaneTrainer, "get", step, t0, p.Now())
+			s.Train(p, step, in)
 		}
 		done.Trigger()
 	})

@@ -273,3 +273,95 @@ func TestSequentialMatchesPipelineResults(t *testing.T) {
 		}
 	}
 }
+
+func TestMultiPipelineCompletesInOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	done := eng.NewEvent()
+	var got []int
+	s := Stages{
+		NumBatches: 23,
+		Samplers:   3,
+		Loaders:    2,
+		// Instances run at different speeds: the trainer must still see
+		// every step in order with its own payload.
+		Sample: func(p *sim.Proc, step int) interface{} {
+			p.Sleep(sim.Time(0.1 * float64(step%3+1)))
+			return step
+		},
+		Load: func(p *sim.Proc, step int, v interface{}) interface{} {
+			p.Sleep(0.02)
+			return v.(int) * 100
+		},
+		Train: func(p *sim.Proc, step int, v interface{}) {
+			if v.(int) != step*100 {
+				t.Errorf("step %d payload %v", step, v)
+			}
+			p.Sleep(0.05)
+			got = append(got, step)
+		},
+	}
+	RunPipelined(eng, "g", s, 2, done)
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !done.Fired() || len(got) != 23 {
+		t.Fatalf("trained %d of 23 steps (done=%v)", len(got), done.Fired())
+	}
+	for i, step := range got {
+		if step != i {
+			t.Fatalf("out of order at %d: %v", i, got)
+		}
+	}
+}
+
+func TestMultiPipelineLoaderInstanceOrdering(t *testing.T) {
+	// Sampler i runs steps i, i+S, ... and loader j runs j, j+L, ... in
+	// increasing order — from FirstBatch on, and whichever instance is
+	// faster — so every GPU's instances issue their collectives in the same
+	// order.
+	const S, L, first, n = 3, 2, 5, 17
+	run := func(slow int) (samplers, loaders [][]int) {
+		eng := sim.NewEngine()
+		done := eng.NewEvent()
+		samplers, loaders = make([][]int, S), make([][]int, L)
+		RunPipelined(eng, "g", Stages{
+			NumBatches: n, FirstBatch: first, Samplers: S, Loaders: L,
+			Sample: func(p *sim.Proc, step int) interface{} {
+				if step%S == slow {
+					p.Sleep(0.3)
+				}
+				samplers[step%S] = append(samplers[step%S], step)
+				return nil
+			},
+			Load: func(p *sim.Proc, step int, v interface{}) interface{} {
+				p.Sleep(sim.Time(0.01 * float64(step%L+1)))
+				loaders[step%L] = append(loaders[step%L], step)
+				return nil
+			},
+			Train: func(p *sim.Proc, step int, v interface{}) {},
+		}, 1, done)
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return samplers, loaders
+	}
+	check := func(kind string, seen [][]int) {
+		for i, steps := range seen {
+			want := first + ((i-first)%len(seen)+len(seen))%len(seen)
+			for _, step := range steps {
+				if step != want {
+					t.Fatalf("%s %d ran %v", kind, i, steps)
+				}
+				want += len(seen)
+			}
+			if want < n {
+				t.Fatalf("%s %d stopped early: %v", kind, i, steps)
+			}
+		}
+	}
+	for slow := 0; slow < S; slow++ {
+		samplers, loaders := run(slow)
+		check("sampler", samplers)
+		check("loader", loaders)
+	}
+}

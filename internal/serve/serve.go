@@ -466,22 +466,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 
 	kind, _ := strategy.Parse(cfg.Strategy) // validated above
-	if kind == strategy.KindP3 {
-		// Dimension-sliced layout: every GPU holds all rows of an F/world
-		// column slice, so there is no hot/cold split and no row cache.
-		s.store = featstore.BuildDimSliced(d.Feats, d.FeatDim, n)
-	} else {
-		budget := cfg.FeatureCacheBudget
-		if budget <= 0 {
-			budget = s.minFreeMem() * 9 / 10
-		}
-		s.store = featstore.BuildPartitioned(d.G, d.Feats, d.FeatDim, d.Offsets,
-			budget, featstore.Policy(cfg.CachePolicy))
-	}
-	for g := 0; g < n; g++ {
-		if err := s.m.GPUs[g].Reserve(s.store.CacheBytes(g)); err != nil {
-			return nil, fmt.Errorf("serve: feature cache: %w", err)
-		}
+	s.store, err = strategy.BuildStore(kind, s.m, d, cfg.FeatureCacheBudget, featstore.Policy(cfg.CachePolicy), false)
+	if err != nil {
+		return nil, fmt.Errorf("serve: feature cache: %w", err)
 	}
 	mcfg := cfg.CacheTune
 	mcfg.Policy = cfg.DynamicCache
@@ -635,16 +622,6 @@ func (s *Server) onCrash(p *sim.Proc, g int) {
 		s.pending[g] = nil
 		s.signal()
 	}
-}
-
-func (s *Server) minFreeMem() int64 {
-	free := s.m.GPUs[0].MemFree()
-	for _, g := range s.m.GPUs[1:] {
-		if f := g.MemFree(); f < free {
-			free = f
-		}
-	}
-	return free
 }
 
 // Machine exposes the simulated fleet (for utilization inspection).

@@ -166,6 +166,38 @@ func New(kind Kind, env Env) ExecutionStrategy {
 	return NewDSP(env)
 }
 
+// BuildStore is the one feature-store selection: it picks kind's layout
+// (P3's full-row dimension slices; otherwise DSP's partitioned hot-row
+// cache, or the Quiver-style replicated one for the caching ablation),
+// sizes a budget <= 0 to 9/10 of the smallest free device memory (headroom
+// for activations), and reserves each GPU's share of m's memory.
+func BuildStore(kind Kind, m *hw.Machine, d *train.Data, budget int64, policy featstore.Policy, replicated bool) (*featstore.Store, error) {
+	n := len(m.GPUs)
+	if budget <= 0 {
+		free := m.GPUs[0].MemFree()
+		for _, g := range m.GPUs[1:] {
+			free = min(free, g.MemFree())
+		}
+		budget = free * 9 / 10
+	}
+	var fs *featstore.Store
+	switch {
+	case kind == KindP3:
+		// No hot/cold split and no budget: the slab fits or Reserve fails.
+		fs = featstore.BuildDimSliced(d.Feats, d.FeatDim, n)
+	case replicated:
+		fs = featstore.BuildReplicated(d.G, d.Feats, d.FeatDim, n, budget, policy)
+	default:
+		fs = featstore.BuildPartitioned(d.G, d.Feats, d.FeatDim, d.Offsets, budget, policy)
+	}
+	for g, dev := range m.GPUs {
+		if err := dev.Reserve(fs.CacheBytes(g)); err != nil {
+			return nil, err
+		}
+	}
+	return fs, nil
+}
+
 // base is the state both layouts share: the substrate, a zero-backed
 // payload for wire transfers that carry timing only, and the pooled real
 // feature gather offloaded between DES commit points.

@@ -13,45 +13,46 @@ import (
 	"repro/internal/trace"
 )
 
-// RunEpoch spawns per-GPU workers built by stagesFor and runs the engine to
-// completion, collecting timing, utilization and communication-volume stats.
-// pipelined selects the producer-consumer pipeline; otherwise stages run
-// back to back (DSP-Seq and all baseline systems). Each stage is preceded
-// by the host-side framework overhead; in pipelined mode the three workers
-// pay it concurrently, which is part of what the pipeline hides.
-func RunEpoch(m *hw.Machine, epoch int, pipelined bool, queueCap int, overhead sim.Time,
+// RunEpochSteps runs steps [from, to) of one epoch — a full epoch, or a
+// segment of one replayed by the fault-tolerance driver — on every GPU of
+// machines (one machine, or a cluster's machines on one engine), and
+// collects timing, utilization and communication-volume stats. Ranks are
+// global and machine-major: GPU g of machine m is rank m*len(GPUs)+g, which
+// is also its trace pid. net, when set, is the cluster's inter-machine
+// fabric whose bytes the epoch reports as InterWire.
+//
+// stagesFor builds one rank's stages. pipelined selects the
+// producer-consumer pipeline (with the stages' worker-instance counts);
+// otherwise stages run back to back (DSP-Seq and all baseline systems). Each
+// stage is preceded by the host-side framework overhead; in pipelined mode
+// the workers pay it concurrently, which is part of what the pipeline hides.
+func RunEpochSteps(machines []*hw.Machine, net *hw.Network, epoch, from, to int, pipelined bool, queueCap int, overhead sim.Time,
 	stagesFor func(rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
-	return RunEpochSteps(m, epoch, 0, -1, pipelined, queueCap, overhead, stagesFor)
-}
-
-// RunEpochSteps is RunEpoch restricted to steps [from, to) — the partial-epoch
-// replay primitive of the fault-tolerance driver. to < 0 keeps the stage
-// builder's NumBatches (a full epoch from from).
-func RunEpochSteps(m *hw.Machine, epoch, from, to int, pipelined bool, queueCap int, overhead sim.Time,
-	stagesFor func(rank int, st *EpochStats) pipeline.Stages) (EpochStats, error) {
-	n := len(m.GPUs)
-	eng := m.Eng
+	eng := machines[0].Eng
 	start := eng.Now()
-	before := m.Fabric.Counters
-	for _, g := range m.GPUs {
+	before := make([]hw.Counters, len(machines))
+	var gpus []*hw.Device
+	for m, mach := range machines {
+		before[m] = mach.Fabric.Counters
+		gpus = append(gpus, mach.GPUs...)
+	}
+	netBefore := netBytes(net)
+	for _, g := range gpus {
 		g.ResetBusy()
 	}
-	stats := make([]EpochStats, n)
+	stats := make([]EpochStats, len(gpus))
 	for rank := range stats {
 		stats[rank].SampleDist = metrics.New()
 		stats[rank].LoadDist = metrics.New()
 		stats[rank].TrainDist = metrics.New()
 	}
 	var dones []*sim.Event
-	for rank := 0; rank < n; rank++ {
+	for rank, g := range gpus {
 		stages := stagesFor(rank, &stats[rank])
-		stages.FirstBatch = from
-		if to >= 0 {
-			stages.NumBatches = to
-		}
+		stages.FirstBatch, stages.NumBatches = from, to
 		stages = withOverhead(stages, overhead)
 		stages = withStageTiming(stages, &stats[rank])
-		if tr := m.GPUs[rank].Tracer; tr.Enabled() {
+		if tr := g.Tracer; tr.Enabled() {
 			stages = withTraceSpans(stages, tr, rank)
 		}
 		done := eng.NewEvent()
@@ -87,12 +88,47 @@ func RunEpochSteps(m *hw.Machine, epoch, from, to int, pipelined bool, queueCap 
 		out.LoadDist.Merge(st.LoadDist)
 		out.TrainDist.Merge(st.TrainDist)
 	}
-	out.Utilization = m.Utilization(start, end)
-	after := m.Fabric.Counters
-	out.SampleWire = after.TotalWire(hw.TrafficSample) - before.TotalWire(hw.TrafficSample)
-	out.FeatureWire = after.TotalWire(hw.TrafficFeature) - before.TotalWire(hw.TrafficFeature)
-	out.GradWire = after.TotalWire(hw.TrafficGradient) - before.TotalWire(hw.TrafficGradient)
+	for m, mach := range machines {
+		out.Utilization = append(out.Utilization, mach.Utilization(start, end)...)
+		after := mach.Fabric.Counters
+		out.SampleWire += after.TotalWire(hw.TrafficSample) - before[m].TotalWire(hw.TrafficSample)
+		out.FeatureWire += after.TotalWire(hw.TrafficFeature) - before[m].TotalWire(hw.TrafficFeature)
+		out.GradWire += after.TotalWire(hw.TrafficGradient) - before[m].TotalWire(hw.TrafficGradient)
+	}
+	out.InterWire = netBytes(net) - netBefore
 	return out, nil
+}
+
+// netBytes totals the inter-machine fabric's bytes (0 without one).
+func netBytes(net *hw.Network) int64 {
+	var total int64
+	if net != nil {
+		for _, b := range net.Bytes {
+			total += b
+		}
+	}
+	return total
+}
+
+// RunSampleEpoch runs only the sampler workload of one epoch on every GPU
+// of m, each stage preceded by the host-side framework overhead (the
+// paper's Table 6 methodology — "running the sampler individually without
+// interference from other workers").
+func RunSampleEpoch(m *hw.Machine, epoch, steps int, overhead sim.Time, sample func(p *sim.Proc, rank, step int)) (EpochStats, error) {
+	start := m.Eng.Now()
+	for rank := range m.GPUs {
+		m.Eng.Go(fmt.Sprintf("gpu%d/sampler", rank), func(p *sim.Proc) {
+			for step := 0; step < steps; step++ {
+				p.Sleep(overhead)
+				sample(p, rank, step)
+			}
+		})
+	}
+	end, err := m.Eng.Run()
+	if err != nil {
+		return EpochStats{}, err
+	}
+	return EpochStats{Epoch: epoch, SampleTime: end - start, EpochTime: end - start}, nil
 }
 
 // withOverhead prefixes every stage with the host-side framework cost.

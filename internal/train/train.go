@@ -256,7 +256,8 @@ type Options struct {
 	// the rejected asynchronous design of §4.1 (ablation).
 	UnfusedSampling bool
 	// NumSamplers/NumLoaders run multiple worker instances per stage — the
-	// rejected multi-instance pipeline of §5 (ablation). 0 or 1 = single.
+	// rejected multi-instance pipeline of §5 (ablation). 0 or 1 = single;
+	// more requires Pipeline.
 	NumSamplers, NumLoaders int
 	// LatencyScale divides per-message link latencies (the benchmark
 	// harness matches it to the batch-count scaling; 0 = 1).
@@ -349,6 +350,10 @@ func (o Options) Validate() error {
 	}
 	if err := hw.CheckGPUs(o.Data.NumGPUs()); err != nil {
 		return fmt.Errorf("train: %d data patches: %w", o.Data.NumGPUs(), err)
+	}
+	if (o.NumSamplers > 1 || o.NumLoaders > 1) && !o.Pipeline {
+		return fmt.Errorf("train: %d samplers and %d loaders per GPU need the pipeline (multi-instance workers are a pipeline variant)",
+			max(o.NumSamplers, 1), max(o.NumLoaders, 1))
 	}
 	if len(o.Sample.Fanout) != o.Model.Layers {
 		return fmt.Errorf("train: %d fan-outs for %d model layers", len(o.Sample.Fanout), o.Model.Layers)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func testDataset() *gen.Dataset {
@@ -222,12 +223,11 @@ func TestEpochStatsAcc(t *testing.T) {
 func TestRunEpochPopulatesStageDistributions(t *testing.T) {
 	m := hw.NewMachine(2, hw.V100(), hw.XeonE5())
 	const steps = 4
-	stats, err := RunEpoch(m, 0, true, 2, 0, func(rank int, st *EpochStats) pipeline.Stages {
+	stats, err := RunEpochSteps([]*hw.Machine{m}, nil, 0, 0, steps, true, 2, 0, func(rank int, st *EpochStats) pipeline.Stages {
 		return pipeline.Stages{
-			NumBatches: steps,
-			Sample:     func(p *sim.Proc, step int) interface{} { p.Sleep(0.001); return step },
-			Load:       func(p *sim.Proc, step int, v interface{}) interface{} { p.Sleep(0.002); return v },
-			Train:      func(p *sim.Proc, step int, v interface{}) { p.Sleep(0.003) },
+			Sample: func(p *sim.Proc, step int) interface{} { p.Sleep(0.001); return step },
+			Load:   func(p *sim.Proc, step int, v interface{}) interface{} { p.Sleep(0.002); return v },
+			Train:  func(p *sim.Proc, step int, v interface{}) { p.Sleep(0.003) },
 		}
 	})
 	if err != nil {
@@ -247,5 +247,50 @@ func TestRunEpochPopulatesStageDistributions(t *testing.T) {
 	}
 	if p50 := stats.TrainDist.P50(); math.Abs(p50-0.003) > 0.0002 {
 		t.Fatalf("train p50 %g, want ~0.003", p50)
+	}
+}
+
+func TestRunEpochStepsClusterRanksAreGlobal(t *testing.T) {
+	// A cluster epoch runs machine-major global ranks: GPU g of machine m is
+	// rank m*gpusEach+g and traces under that pid; utilization lists every
+	// GPU and the inter-machine fabric's bytes become InterWire.
+	c := hw.NewCluster(2, 2, hw.V100(), hw.XeonE5(), hw.InfiniBandEDR(), 1)
+	tr := trace.New()
+	c.Machines[1].GPUs[0].Tracer = tr
+	const from, to = 1, 3
+	ranks := map[int][]int{}
+	st, err := RunEpochSteps(c.Machines, c.Net, 7, from, to, true, 2, 0, func(rank int, _ *EpochStats) pipeline.Stages {
+		return pipeline.Stages{
+			Sample: func(p *sim.Proc, step int) interface{} { p.Sleep(0.001); return nil },
+			Load:   func(p *sim.Proc, step int, v interface{}) interface{} { return nil },
+			Train: func(p *sim.Proc, step int, v interface{}) {
+				ranks[rank] = append(ranks[rank], step)
+				if rank == 3 {
+					c.Net.Send(p, 1, 0, 1000, hw.TrafficGradient)
+				}
+			},
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Epoch != 7 || len(st.Utilization) != 4 || len(ranks) != 4 {
+		t.Fatalf("epoch %d, %d utilizations, ranks %v", st.Epoch, len(st.Utilization), ranks)
+	}
+	for rank, steps := range ranks {
+		if len(steps) != to-from || steps[0] != from {
+			t.Fatalf("rank %d ran steps %v, want [%d, %d)", rank, steps, from, to)
+		}
+	}
+	if st.InterWire < 2*1000 {
+		t.Fatalf("InterWire %d, want the 2 sends of rank 3", st.InterWire)
+	}
+	if tr.Len() == 0 {
+		t.Fatal("machine 1 GPU 0 recorded no stage spans")
+	}
+	for _, ev := range tr.Events() {
+		if ev.Pid != 2 {
+			t.Fatalf("span %q under pid %d, want global rank 2", ev.Name, ev.Pid)
+		}
 	}
 }
